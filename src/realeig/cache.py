@@ -1,6 +1,7 @@
 """Versioned on-disk cache for weight tables and contour-coefficient tables.
 
-One .npz container per object, keyed by parameters in the file name.  The
+One .npz container per object, keyed by parameters in the file name (for
+weight tables, also by the tolerances and depth of the building spec).  The
 format version is stored inside; files with a stale version are ignored
 and rebuilt.  The cache directory comes from, in order: an explicit flag,
 the REALEIG_CACHE_DIR environment variable, or ~/.cache/realeig.
@@ -27,12 +28,15 @@ def resolve_cache_dir(override=None) -> Path:
     return path
 
 
-def _weight_path(cache_dir, kind, L, m, n) -> Path:
-    return Path(cache_dir) / f"weights_{kind}_L{L}_m{m}_n{n}_v{FORMAT_VERSION}.npz"
+def _weight_path(cache_dir, kind, L, m, n, spec) -> Path:
+    return Path(cache_dir) / (
+        f"weights_{kind}_L{L}_m{m}_n{n}_r{spec.rel_tol!r}_a{spec.abs_tol!r}"
+        f"_d{spec.max_depth}_v{FORMAT_VERSION}.npz")
 
 
-def save_weight_table(cache_dir, table, n) -> Path:
-    path = _weight_path(cache_dir, table.kind, table.L, table.m, n)
+def save_weight_table(cache_dir, table, n, spec) -> Path:
+    """Write a table under the name of the spec it was built with."""
+    path = _weight_path(cache_dir, table.kind, table.L, table.m, n, spec)
     np.savez_compressed(
         path, version=FORMAT_VERSION, L=table.L, m=table.m,
         kind=table.kind, xi_scale=table.xi_scale,
@@ -41,10 +45,10 @@ def save_weight_table(cache_dir, table, n) -> Path:
     return path
 
 
-def load_weight_table(cache_dir, kind, L, m, n):
+def load_weight_table(cache_dir, kind, L, m, n, spec):
     from .weights import WeightTable
 
-    path = _weight_path(cache_dir, kind, L, m, n)
+    path = _weight_path(cache_dir, kind, L, m, n, spec)
     if not path.exists():
         return None
     try:

@@ -17,9 +17,10 @@ import numpy as np
 from . import cache
 from .errors import (DomainError, NonConvergentError, PrecisionLossError,
                      SchurNoConvergenceError, SlowConvergenceError)
-from .exactdensity import (asympt_expected, density_mass, density_rho,
+from .exactdensity import (asympt_expected, build_density_curve,
                            expected_real_quadrature, gin_asympt_expected,
-                           gin_expected_real_quadrature)
+                           gin_expected_real_quadrature,
+                           gin_limiting_density_cdf, limiting_density_cdf)
 from .montecarlo import (EnsembleKind, EnsembleSpec, estimate_expected_real,
                          histogram_csv_lines)
 from .quadrature import QuadratureSpec, Rule
@@ -118,6 +119,16 @@ def _quad_spec(args, default_rel=3e-9):
                           rule=Rule.TANH_SINH)
 
 
+def _weight_table(args, spec, ginibre):
+    """The disk-cached weight table of the requested ensemble; None at m = 1."""
+    if args.m == 1:
+        return None
+    cdir = cache.resolve_cache_dir(args.cache_dir)
+    if ginibre:
+        return weight_table(1, args.m, spec, kind="ginibre", cache_dir=cdir)
+    return weight_table(args.L, args.m, spec, cache_dir=cdir)
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
@@ -150,17 +161,13 @@ def cmd_expected(args) -> int:
     report = ComparisonReport(rows=[], config=_config_dict(args), seed=args.seed)
     values = {}
     errs = {}
-    cdir = cache.resolve_cache_dir(args.cache_dir)
     for method in methods:
         if method == "quadrature":
+            table = _weight_table(args, spec, ginibre)
             if ginibre:
-                table = (weight_table(1, args.m, spec, kind="ginibre",
-                                      cache_dir=cdir) if args.m > 1 else None)
                 values[method] = gin_expected_real_quadrature(
                     args.N, args.m, spec, table)
             else:
-                table = (weight_table(L, args.m, spec, cache_dir=cdir)
-                         if args.m > 1 else None)
                 values[method] = expected_real_quadrature(
                     SeriesParams(args.N, L, args.m), spec, table)
             errs[method] = abs(values[method]) * spec.rel_tol * 10
@@ -227,54 +234,37 @@ def cmd_density(args) -> int:
     t0 = time.time()
     # shared symmetric grid of bin midpoints; avoids x = 0 and the endpoints
     nbins = args.bins or args.grid
-    if ginibre:
-        lim_edge = 1.0
-        edges = np.linspace(-1.5, 1.5, nbins + 1)
-    else:
-        edges = np.linspace(-1.0, 1.0, nbins + 1)
+    lim = 1.5 if ginibre else 1.0
+    edges = np.linspace(-lim, lim, nbins + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    mids = mids[mids != 0.0]
+    keep = mids != 0.0
+    mids = mids[keep]
 
-    # the limit column carries cell averages (bin mass / width) so that it
-    # is directly comparable to the histogram column and its trapezoid sum
-    # reproduces unit mass despite the jump at the support edge
     if ginibre:
         if args.N % 2 == 1:
             raise UsageError("the exact Ginibre route requires even N")
-        from .exactdensity import gin_density_rho, gin_limiting_density_cdf
-        table = (weight_table(1, m, spec, kind="ginibre",
-                              cache_dir=cache.resolve_cache_dir(args.cache_dir))
-                 if m > 1 else None)
-        scale = args.N ** (m / 2.0)
-        mass = gin_expected_real_quadrature(args.N, m, spec, table)
-        exact = np.array([scale * gin_density_rho(scale * x, args.N, m, spec, table)
-                          for x in mids]) / mass
         cdf = lambda x: gin_limiting_density_cdf(x, m)
         kind = EnsembleKind.REAL_GINIBRE
     else:
-        from .exactdensity import limiting_density_cdf
-        p = SeriesParams(args.N, L, m)
-        table = (weight_table(L, m, spec,
-                              cache_dir=cache.resolve_cache_dir(args.cache_dir))
-                 if m > 1 else None)
-        mass = density_mass(p, spec, table)
-        exact = np.array([density_rho(x, p, spec, table) for x in mids]) / mass
         alpha_t = 1.0 / (1.0 + L / args.N)
         cdf = lambda x: limiting_density_cdf(x, m, alpha_t)
         kind = EnsembleKind.TRUNCATED_ORTHOGONAL
-    keep_mid = 0.5 * (edges[:-1] + edges[1:]) != 0.0
+    ensemble = EnsembleSpec(args.N, L, m, kind)
+    exact = build_density_curve(ensemble, mids, spec, normalized=True,
+                                table=_weight_table(args, spec, ginibre)).values
+    # the limit column carries cell averages (bin mass / width) so that it
+    # is directly comparable to the histogram column and its trapezoid sum
+    # reproduces unit mass despite the jump at the support edge
+    widths = np.diff(edges)
     limit = (np.array([cdf(b) - cdf(a) for a, b in zip(edges[:-1], edges[1:])])
-             / np.diff(edges))[keep_mid]
+             / widths)[keep]
 
-    est = estimate_expected_real(EnsembleSpec(args.N, L, m, kind), args.trials,
-                                 args.seed, args.threads, bins=edges)
+    est = estimate_expected_real(ensemble, args.trials, args.seed, args.threads,
+                                 bins=edges)
     counts = est.histogram.counts.astype(float)
     total = counts.sum()
-    widths = np.diff(edges)
-    mc_all = counts / (total * widths)
-    mc_err_all = np.sqrt(np.maximum(counts, 1.0)) / (total * widths)
-    keep = 0.5 * (edges[:-1] + edges[1:]) != 0.0
-    mc, mc_err = mc_all[keep], mc_err_all[keep]
+    mc = (counts / (total * widths))[keep]
+    mc_err = (np.sqrt(np.maximum(counts, 1.0)) / (total * widths))[keep]
 
     out = Path(args.out or "density.csv")
     try:

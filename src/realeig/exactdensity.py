@@ -44,11 +44,14 @@ def _check_envelope(p: SeriesParams) -> None:
             "alternating-sum or simulation routes at this size.")
 
 
-def _log_weight_fn(p: SeriesParams, spec, table):
-    if p.m == 1:
-        return lambda y: _log_base_array(y, p.L)
+def _log_weight_fn(kind: str, L: int, m: int, spec, table):
+    """Vectorized ln w_m for the "truncated" or "ginibre" weight kind."""
+    if m == 1:
+        if kind == "ginibre":
+            return lambda t: -0.5 * np.asarray(t, dtype=float) ** 2
+        return lambda y: _log_base_array(y, L)
     if table is None:
-        table = weight_table(p.L, p.m, spec)
+        table = weight_table(L, m, spec, kind=kind)
     return table.log_weight
 
 
@@ -79,13 +82,48 @@ def _piecewise(f, points, spec) -> tuple[float, float]:
     return total, err
 
 
+def _density(ax: float, log_w, log_series, breakpoints, spec,
+             log_pref: float = 0.0) -> float:
+    """Kernel density int |ax - y| w(ax) w(y) f(ax y) dy, times e^log_pref.
+
+    log_w is the vectorized ln w, log_series the (log|f|, sign, floor)
+    series evaluator, and breakpoints the sorted panel edges in y.  A value
+    within its own quadrature error is zero: its sign is noise, the policy
+    series._guard_cancellation applies to sums below their roundoff floor.
+    """
+    lwx = float(log_w(np.array([ax]))[0])
+
+    def integrand(y):
+        lf, sf, _ = log_series(ax * y)
+        return np.abs(ax - y) * sf * np.exp(lwx + log_w(np.abs(y)) + lf + log_pref)
+
+    total, err = _piecewise(integrand, breakpoints, spec)
+    return 0.0 if abs(total) <= err else total
+
+
+def _mass(rho, edges, spec) -> float:
+    """Twice the integral of the even density rho(x, inner_spec) over edges.
+
+    Each density value is computed at 0.3 times the outer relative tolerance.
+    """
+    inner = QuadratureSpec(rel_tol=spec.rel_tol * 0.3, abs_tol=0.0,
+                           max_depth=spec.max_depth, rule=Rule.TANH_SINH)
+    total, _ = _piecewise(lambda xs: np.array([rho(float(v), inner) for v in xs]),
+                          edges, spec)
+    return 2.0 * total
+
+
+def _regime_edges(p: SeriesParams) -> list[float]:
+    """Closed-form points (alpha -+ 1/sqrt N)^m where f_trunc changes regime."""
+    return [(p.alpha + off / math.sqrt(p.N)) ** p.m for off in (-1.0, 1.0)]
+
+
 def _transition_points(x: float, p: SeriesParams) -> list[float]:
     """y-values where f_trunc(x y) changes asymptotic regime, clipped to (-1,1)."""
     if x == 0.0:
         return []
     out = []
-    for off in (-1.0, 1.0):
-        edge = (p.alpha + off / math.sqrt(p.N)) ** p.m
+    for edge in _regime_edges(p):
         for sgn in (-1.0, 1.0):
             y = sgn * edge / abs(x)
             if -1.0 < y < 1.0:
@@ -103,7 +141,7 @@ def kernel_S(x1: float, x2: float, p: SeriesParams,
             raise DomainError(f"arguments must lie in (-1, 1), got {v}")
     if p.m > 1 and x1 == 0.0:
         raise DomainError("x1 = 0 is singular for m > 1")
-    logw = _log_weight_fn(p, spec, table)
+    logw = _log_weight_fn("truncated", p.L, p.m, spec, table)
     lwx = float(logw(np.array([abs(x1)]))[0])
 
     def integrand(y):
@@ -126,35 +164,19 @@ def density_rho(x: float, p: SeriesParams, spec: QuadratureSpec | None = None,
     if p.m > 1 and x == 0.0:
         raise DomainError("x = 0 is singular for m > 1")
     ax = abs(x)
-    logw = _log_weight_fn(p, spec, table)
-    lwx = float(logw(np.array([ax]))[0])
-
-    def integrand(y):
-        lf, sf, _ = f_truncated_log_array(ax * y, p.N, p.L, p.m)
-        return np.abs(ax - y) * sf * np.exp(lwx + logw(np.abs(y)) + lf)
-
     pts = sorted({-1.0, 0.0, ax, 1.0} | set(_transition_points(ax, p)))
-    total, _ = _piecewise(integrand, pts, spec)
-    return total
+    return _density(ax, _log_weight_fn("truncated", p.L, p.m, spec, table),
+                    lambda z: f_truncated_log_array(z, p.N, p.L, p.m), pts, spec)
 
 
 def density_mass(p: SeriesParams, spec: QuadratureSpec | None = None,
                  table=None) -> float:
     """Total integral of the kernel density over [-1, 1] (no parity term)."""
     spec = spec or _DEFAULT_SPEC
-    inner = QuadratureSpec(rel_tol=spec.rel_tol * 0.3, abs_tol=0.0,
-                           max_depth=spec.max_depth, rule=Rule.TANH_SINH)
     if p.m > 1 and table is None:
         table = weight_table(p.L, p.m, spec)
-
-    def outer(xs):
-        return np.array([density_rho(float(v), p, inner, table) for v in xs])
-
-    edges = sorted({0.0, 1.0} | {(p.alpha + s / math.sqrt(p.N)) ** p.m
-                                 for s in (-1.0, 1.0)
-                                 if 0.0 < (p.alpha + s / math.sqrt(p.N)) ** p.m < 1.0})
-    total, _ = _piecewise(outer, edges, spec)
-    return 2.0 * total
+    edges = sorted({0.0, 1.0} | {e for e in _regime_edges(p) if 0.0 < e < 1.0})
+    return _mass(lambda x, inner: density_rho(x, p, inner, table), edges, spec)
 
 
 def expected_real_quadrature(p: SeriesParams, spec: QuadratureSpec | None = None,
@@ -237,14 +259,6 @@ def gin_limiting_density_cdf(x: float, m: int) -> float:
     return 0.5 + math.copysign(half, x)
 
 
-def _gin_logw_fn(m: int, spec, table):
-    if m == 1:
-        return lambda t: -0.5 * np.asarray(t, dtype=float) ** 2
-    if table is None:
-        table = weight_table(1, m, spec, kind="ginibre")
-    return table.log_weight
-
-
 def gin_density_rho(t: float, N: int, m: int,
                     spec: QuadratureSpec | None = None, table=None) -> float:
     """Kernel density for Ginibre products in the product-scaled variable t.
@@ -259,19 +273,12 @@ def gin_density_rho(t: float, N: int, m: int,
     spec = spec or _DEFAULT_SPEC
     if m > 1 and t == 0.0:
         raise DomainError("t = 0 is singular for m > 1")
-    logw = _gin_logw_fn(m, spec, table)
     at = abs(t)
-    lwx = float(logw(np.array([at]))[0])
-    pref = -m * math.log(2.0 * math.sqrt(2.0 * math.pi))
     T = _gin_cutoff(N, m)
-
-    def integrand(s):
-        lf, sf, _ = f_gin_log_array(at * s, N, m)
-        return np.abs(at - s) * sf * np.exp(lwx + logw(np.abs(s)) + lf + pref)
-
-    pts = sorted({-T, 0.0, min(at, T), T})
-    total, _ = _piecewise(integrand, pts, spec)
-    return total
+    return _density(at, _log_weight_fn("ginibre", 1, m, spec, table),
+                    lambda z: f_gin_log_array(z, N, m),
+                    sorted({-T, 0.0, min(at, T), T}), spec,
+                    -m * math.log(2.0 * math.sqrt(2.0 * math.pi)))
 
 
 def _gin_cutoff(N: int, m: int) -> float:
@@ -286,18 +293,10 @@ def gin_expected_real_quadrature(N: int, m: int,
     if N % 2 == 1:
         raise DomainError("the Ginibre kernel formulas require even N")
     spec = spec or _DEFAULT_SPEC
-    inner = QuadratureSpec(rel_tol=spec.rel_tol * 0.3, abs_tol=0.0,
-                           max_depth=spec.max_depth, rule=Rule.TANH_SINH)
     if m > 1 and table is None:
         table = weight_table(1, m, spec, kind="ginibre")
-    T = _gin_cutoff(N, m)
-
-    def outer(ts):
-        return np.array([gin_density_rho(float(v), N, m, inner, table)
-                         for v in ts])
-
-    total, _ = _piecewise(outer, [0.0, N ** (m / 2.0), T], spec)
-    return 2.0 * total
+    return _mass(lambda t, inner: gin_density_rho(t, N, m, inner, table),
+                 [0.0, N ** (m / 2.0), _gin_cutoff(N, m)], spec)
 
 
 @dataclass
@@ -342,27 +341,25 @@ class DensityCurve:
 
 
 def build_density_curve(ensemble: EnsembleSpec, xs, spec: QuadratureSpec | None = None,
-                        normalized: bool = True, threads: int = 1) -> DensityCurve:
+                        normalized: bool = True, threads: int = 1,
+                        table=None) -> DensityCurve:
     """Evaluate the exact (normalized) density on a grid, in parallel.
 
-    Grid evaluations are independent; results are deterministic for any
-    thread count.
+    Ginibre curves are in the scaled variable x = t N^(-m/2).  Grid
+    evaluations are independent; results are deterministic for any thread
+    count.
     """
     spec = spec or _DEFAULT_SPEC
     xs = np.asarray(xs, dtype=float)
+    N, m = ensemble.N, ensemble.m
     if ensemble.kind is EnsembleKind.TRUNCATED_ORTHOGONAL:
-        p = SeriesParams(ensemble.N, ensemble.L, ensemble.m)
-        table = weight_table(p.L, p.m, spec) if p.m > 1 else None
+        p = SeriesParams(N, ensemble.L, m)
         fn = lambda x: density_rho(float(x), p, spec, table)
         mass = density_mass(p, spec, table) if normalized else 1.0
     else:
-        table = (weight_table(1, ensemble.m, spec, kind="ginibre")
-                 if ensemble.m > 1 else None)
-        scale = ensemble.N ** (ensemble.m / 2.0)
-        fn = lambda x: scale * gin_density_rho(float(x) * scale, ensemble.N,
-                                               ensemble.m, spec, table)
-        mass = (gin_expected_real_quadrature(ensemble.N, ensemble.m, spec, table)
-                if normalized else 1.0)
+        scale = N ** (m / 2.0)
+        fn = lambda x: scale * gin_density_rho(float(x) * scale, N, m, spec, table)
+        mass = gin_expected_real_quadrature(N, m, spec, table) if normalized else 1.0
     if threads == 1:
         vals = [fn(x) for x in xs]
     else:

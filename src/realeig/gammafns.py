@@ -3,13 +3,15 @@
 The complex branch is a fixed-coefficient Lanczos approximation (g = 7,
 nine terms) with a log-space reflection for Re z < 1/2, so it stays
 finite and accurate on vertical contour lines with large imaginary part.
-Real positive arguments go through the C library's lgamma.
+Real positive arguments go through the C library's lgamma, and binomials
+through scipy's vectorized gammaln.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -40,11 +42,13 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) via log-gamma."""
-    if k < 0 or n < 0 or k > n:
+def log_binomial(n, k):
+    """ln C(n, k) via log-gamma; n and k may be arrays that broadcast."""
+    n = np.asarray(n, dtype=float)
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(n) & (k >= 0) & (k <= n)):
         raise DomainError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
+    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
 def _lanczos_half_plane(z):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError, PrecisionLossError, SlowConvergenceError
 from .gammafns import log_binomial
@@ -22,6 +23,7 @@ from .summation import NeumaierSum
 
 PRECISION_LOSS_RATIO = 1e-6
 _LOG_TINY = -745.0  # exp() underflows below this
+_MAX_TERMS = 10 ** 7  # term-count bound of the completed series
 
 
 @dataclass(frozen=True)
@@ -53,46 +55,45 @@ class SeriesParams:
         return 1.0 / (1.0 + self.gamma)
 
 
-def _log_coeffs(N: int, L: int, m: int) -> np.ndarray:
-    n = np.arange(N - 1)
-    out = np.empty(N - 1)
-    for k in n:
-        out[k] = m * log_binomial(L + k, k)
-    return out
-
-
-def f_truncated_log_array(xy, N: int, L: int, m: int):
-    """Vectorized truncated sum in log space.
+def _log_series(log_coeffs: np.ndarray, z):
+    """Vectorized sum_n exp(log_coeffs[n]) z^n in log space.
 
     Returns (log|f|, sign, log_floor) where log_floor bounds the roundoff
     noise of each entry (columns with heavy alternating cancellation have
     log_floor close to log|f|).
     """
-    xy = np.asarray(xy, dtype=float)
-    lc = _log_coeffs(N, L, m)
-    n = np.arange(N - 1)
+    z = np.asarray(z, dtype=float)
+    n = np.arange(len(log_coeffs))
     with np.errstate(divide="ignore"):
-        lx = np.where(xy == 0.0, _LOG_TINY, np.log(np.maximum(np.abs(xy), 1e-300)))
-    lt = lc[:, None] + n[:, None] * lx[None, :]
-    sg = np.where((xy[None, :] < 0) & (n[:, None] % 2 == 1), -1.0, 1.0)
+        lz = np.where(z == 0.0, _LOG_TINY, np.log(np.maximum(np.abs(z), 1e-300)))
+    lt = log_coeffs[:, None] + n[:, None] * lz[None, :]
+    sg = np.where((z[None, :] < 0) & (n[:, None] % 2 == 1), -1.0, 1.0)
     M = lt.max(axis=0)
     scaled = sg * np.exp(lt - M[None, :])
     # Neumaier accumulation down the term axis
-    s = np.zeros(xy.shape)
-    comp = np.zeros(xy.shape)
-    maxpartial = np.zeros(xy.shape)
-    for row, t in enumerate(scaled):
+    s = np.zeros(z.shape)
+    comp = np.zeros(z.shape)
+    maxpartial = np.zeros(z.shape)
+    for t in scaled:
         tot = s + t
         swap = np.abs(s) >= np.abs(t)
         comp += np.where(swap, (s - tot) + t, (t - tot) + s)
         s = tot
         np.maximum(maxpartial, np.abs(s), out=maxpartial)
     vals = s + comp
-    sign = np.sign(vals)
     with np.errstate(divide="ignore"):
-        logmag = M + np.log(np.abs(vals))
-        log_floor = M + np.log(maxpartial * 2.0 ** -52 * math.sqrt(max(N - 1, 1)))
-    return logmag, sign, log_floor
+        return (M + np.log(np.abs(vals)), np.sign(vals),
+                M + np.log(maxpartial * 2.0 ** -52
+                           * math.sqrt(max(len(log_coeffs), 1))))
+
+
+def f_truncated_log_array(xy, N: int, L: int, m: int):
+    """Vectorized truncated sum of C(L+n, n)^m xy^n over n < N-1, in log space.
+
+    Returns (log|f|, sign, log_floor); see _log_series.
+    """
+    n = np.arange(N - 1)
+    return _log_series(m * log_binomial(L + n, n), xy)
 
 
 def f_truncated(x: float, p: SeriesParams) -> SignedLogValue:
@@ -135,24 +136,22 @@ def _series_turnover(L: int, m: int, ax: float) -> int:
     return max(1, int(math.ceil(L * r / (1.0 - r))))
 
 
-def f_infinite(x: float, L: int, m: int, tol: float = 1e-14) -> SignedLogValue:
-    """The completed series; converges absolutely for |x| < 1.
+def _complete(x: float, log_ratio, turnover: int, log_c_turnover: float,
+              tol: float) -> SignedLogValue:
+    """Completed series sum_n c_n x^n from its coefficient ratios.
 
-    Terms grow before they decay, so the stopping rule requires both a
-    small relative term and an index beyond the term-ratio turnover.
+    log_ratio(n) = ln(c_{n+1} / c_n), with c_0 = 1, and log_c_turnover =
+    ln(c_turnover) in closed form.  Terms grow up to the turnover index and
+    decay after it, so they are scaled by the turnover term, and the
+    stopping rule requires both a small relative term and an index beyond
+    the turnover; a turnover at the term-count bound therefore fails early.
     """
-    if not math.isfinite(x) or abs(x) >= 1.0:
-        raise DomainError(f"f_infinite requires |x| < 1, got {x}")
-    if abs(x) > 1.0 - 1e-6:
+    if turnover >= _MAX_TERMS:
         raise SlowConvergenceError(
-            f"|x| = {abs(x)} is within 1e-6 of the unit circle")
-    if x == 0.0:
-        return SignedLogValue.from_real(1.0)
-    ax = abs(x)
-    lx = math.log(ax)
-    turnover = _series_turnover(L, m, ax)
+            f"turnover index {turnover} reaches the term-count bound")
+    lx = math.log(abs(x))
+    scale = log_c_turnover + turnover * lx
     acc = NeumaierSum()
-    scale = m * log_binomial(L + turnover, turnover) + turnover * lx
     n = 0
     log_term = 0.0
     while True:
@@ -162,13 +161,30 @@ def f_infinite(x: float, L: int, m: int, tol: float = 1e-14) -> SignedLogValue:
         acc.add(t)
         if n > turnover and abs(t) < tol * abs(acc.total):
             break
-        log_term += m * (math.log(L + n + 1) - math.log(n + 1)) + lx
+        log_term += log_ratio(n) + lx
         n += 1
-        if n > 10 ** 7:
+        if n > _MAX_TERMS:
             raise SlowConvergenceError("term-count bound exceeded")
     total = acc.total
+    if total == 0.0:
+        return SignedLogValue(0, -math.inf)
     return SignedLogValue.from_log(int(math.copysign(1, total)),
                                    scale + math.log(abs(total)))
+
+
+def f_infinite(x: float, L: int, m: int, tol: float = 1e-14) -> SignedLogValue:
+    """The completed series; converges absolutely for |x| < 1."""
+    if not math.isfinite(x) or abs(x) >= 1.0:
+        raise DomainError(f"f_infinite requires |x| < 1, got {x}")
+    if abs(x) > 1.0 - 1e-6:
+        raise SlowConvergenceError(
+            f"|x| = {abs(x)} is within 1e-6 of the unit circle")
+    if x == 0.0:
+        return SignedLogValue.from_real(1.0)
+    turnover = _series_turnover(L, m, abs(x))
+    return _complete(x, lambda n: m * (math.log(L + n + 1) - math.log(n + 1)),
+                     turnover, m * float(log_binomial(L + turnover, turnover)),
+                     tol)
 
 
 def f_inf_asymptotic(x: float, L: int, m: int) -> SignedLogValue:
@@ -228,28 +244,7 @@ def f_decomposition_residual(x: float, p: SeriesParams, omega: float) -> float:
 
 def f_gin_log_array(ts, N: int, m: int):
     """Vectorized log-space Ginibre truncated sum sum t^n/(n!)^m."""
-    ts = np.asarray(ts, dtype=float)
-    n = np.arange(N - 1)
-    lc = -m * np.array([math.lgamma(k + 1.0) for k in n])
-    with np.errstate(divide="ignore"):
-        lx = np.where(ts == 0.0, _LOG_TINY, np.log(np.maximum(np.abs(ts), 1e-300)))
-    lt = lc[:, None] + n[:, None] * lx[None, :]
-    sg = np.where((ts[None, :] < 0) & (n[:, None] % 2 == 1), -1.0, 1.0)
-    M = lt.max(axis=0)
-    scaled = sg * np.exp(lt - M[None, :])
-    s = np.zeros(ts.shape)
-    comp = np.zeros(ts.shape)
-    maxpartial = np.zeros(ts.shape)
-    for t in scaled:
-        tot = s + t
-        swap = np.abs(s) >= np.abs(t)
-        comp += np.where(swap, (s - tot) + t, (t - tot) + s)
-        s = tot
-        np.maximum(maxpartial, np.abs(s), out=maxpartial)
-    vals = s + comp
-    with np.errstate(divide="ignore"):
-        return (M + np.log(np.abs(vals)), np.sign(vals),
-                M + np.log(maxpartial * 2.0 ** -52 * math.sqrt(max(N - 1, 1))))
+    return _log_series(-m * gammaln(np.arange(N - 1) + 1.0), ts)
 
 
 def f_gin_truncated(t: float, N: int, m: int) -> SignedLogValue:
@@ -269,24 +264,6 @@ def f_gin_infinite(t: float, m: int, tol: float = 1e-15) -> SignedLogValue:
         raise DomainError("f_gin_infinite requires finite t")
     if t == 0.0:
         return SignedLogValue.from_real(1.0)
-    at = abs(t)
-    lx = math.log(at)
-    turnover = max(1, int(math.ceil(at ** (1.0 / m))))
-    scale = -m * math.lgamma(turnover + 1.0) + turnover * lx
-    acc = NeumaierSum()
-    log_term = 0.0
-    n = 0
-    while True:
-        v = math.exp(log_term - scale)
-        if t < 0 and n % 2 == 1:
-            v = -v
-        acc.add(v)
-        if n > turnover and abs(v) < tol * abs(acc.total):
-            break
-        log_term += lx - m * math.log(n + 1.0)
-        n += 1
-    total = acc.total
-    if total == 0.0:
-        return SignedLogValue(0, -math.inf)
-    return SignedLogValue.from_log(int(math.copysign(1, total)),
-                                   scale + math.log(abs(total)))
+    turnover = max(1, int(math.ceil(abs(t) ** (1.0 / m))))
+    return _complete(t, lambda n: -m * math.log(n + 1.0), turnover,
+                     -m * math.lgamma(turnover + 1.0), tol)

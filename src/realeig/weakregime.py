@@ -307,7 +307,7 @@ def log_2q(L: int, m: int) -> float:
 def _sum_terms(table: GjTable, N: int) -> np.ndarray:
     js = np.arange(N - 1)
     lq = log_2q(table.L, table.m)
-    lb = np.array([table.m * log_binomial(table.L + j, table.L) for j in js])
+    lb = table.m * log_binomial(table.L + js, table.L)
     return (table.sign[:N - 1] * np.exp(lq + lb + table.log_g[:N - 1])
             * np.where(js % 2 == 1, -1.0, 1.0))
 

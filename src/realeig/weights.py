@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import cache
 from .errors import DomainError, NonConvergentError
 from .gammafns import log_beta, log_gamma_complex_array
 from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive
@@ -30,6 +31,7 @@ from .signedlog import SignedLogValue
 DEFAULT_GRID_SIZE = 512
 _MAX_GRID_SIZE = 4096
 _GIN_XI_MAX = 12.0  # Ginibre tables cover t in (0, 12^m); Gaussian tail beyond
+DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9, rule=Rule.TANH_SINH)
 
 _registry: dict = {}
 _registry_lock = threading.Lock()
@@ -235,39 +237,34 @@ def weight_table(L: int, m: int, spec: QuadratureSpec | None = None,
     """Build (or fetch) the convolution table for (L, m); m >= 2.
 
     The grid is doubled until the analytic mass identity holds to 1e-6.
-    Tables are cached in-process and, when cache_dir is given, on disk.
+    Tables are cached in-process and, when cache_dir is given, on disk,
+    keyed by the parameters and by the spec's tolerances and depth.
     """
     _check_L(L)
     _check_m(m)
     if m < 2:
         raise DomainError("tables exist only for m >= 2; m = 1 is closed-form")
-    spec = spec or QuadratureSpec(rel_tol=1e-9, rule=Rule.TANH_SINH)
-    key = (kind, L, m, n)
+    spec = spec or DEFAULT_SPEC
+    key = (kind, L, m, n, spec.rel_tol, spec.abs_tol, spec.max_depth)
+    # held across the build, so concurrent callers build each key once
     with _registry_lock:
-        if key in _registry:
-            return _registry[key]
-    if cache_dir is not None:
-        from . import cache
-        loaded = cache.load_weight_table(cache_dir, kind, L, m, n)
-        if loaded is not None:
-            with _registry_lock:
-                _registry[key] = loaded
-            return loaded
-    size = n
-    while True:
-        table = _build_table(L, m, size, spec, kind)
-        gap = _mass_check(table, spec)
-        if gap <= 1e-6:
-            break
-        if size >= _MAX_GRID_SIZE:
-            raise NonConvergentError(
-                f"weight table mass identity off by {gap:.2e} at grid {size}")
-        size *= 2
-    with _registry_lock:
+        table = _registry.get(key)
+        if table is None and cache_dir is not None:
+            table = cache.load_weight_table(cache_dir, kind, L, m, n, spec)
+        if table is None:
+            size = n
+            while True:
+                table = _build_table(L, m, size, spec, kind)
+                gap = _mass_check(table, spec)
+                if gap <= 1e-6:
+                    break
+                if size >= _MAX_GRID_SIZE:
+                    raise NonConvergentError(
+                        f"weight table mass identity off by {gap:.2e} at grid {size}")
+                size *= 2
+            if cache_dir is not None:
+                cache.save_weight_table(cache_dir, table, n, spec)
         _registry[key] = table
-    if cache_dir is not None:
-        from . import cache
-        cache.save_weight_table(cache_dir, table, n)
     return table
 
 

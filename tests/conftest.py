@@ -3,7 +3,8 @@ computed once per session and reused across test modules."""
 import numpy as np
 import pytest
 
-from realeig import EnsembleSpec, GjTable, estimate_expected_real
+from realeig import EnsembleSpec, GjTable, SeriesParams, estimate_expected_real
+from realeig.exactdensity import density_mass
 from realeig.quadrature import QuadratureSpec, Rule
 
 SEED = 20260808
@@ -20,6 +21,15 @@ def gj_table_21():
     table = GjTable(2, 1)
     table.ensure(8190)
     return table
+
+
+@pytest.fixture(scope="session")
+def limit_masses():
+    """Kernel-density masses at N = L in (25, 50, 100, 200), m = 1, rel_tol
+    1e-7, keyed by N: the normalizers of the limiting-density tests."""
+    spec = QuadratureSpec(rel_tol=1e-7, rule=Rule.TANH_SINH)
+    return {N: density_mass(SeriesParams(N, N, 1), spec)
+            for N in (25, 50, 100, 200)}
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from realeig import (EnsembleKind, EnsembleSpec, QuadratureSpec, Rule,
                      g_j_contour, g_j_mc, gin_asympt_expected,
                      gin_limiting_density, limiting_density,
                      sample_haar_orthogonal, trial_rng, weight_table)
-from realeig.exactdensity import density_mass
 from realeig.gammafns import log_beta
 from realeig.quadrature import gauss_kronrod_adaptive, tanh_sinh_adaptive
 from realeig.weights import log_weight_mass
@@ -64,12 +63,12 @@ def test_criterion_3_sqrt_arctanh_remainder():
            f"spot value {spot:.6f} vs 7.03227")
 
 
-def test_criterion_4_limiting_density():
+def test_criterion_4_limiting_density(limit_masses):
     lim = limiting_density(0.3, 1, 0.5)
     gaps = []
     for N in (25, 50, 100, 200):
         p = SeriesParams(N, N, 1)
-        mass = density_mass(p, QuadratureSpec(rel_tol=1e-7, rule=Rule.TANH_SINH))
+        mass = limit_masses[N]
         rho_n = density_rho(0.3, p, QuadratureSpec(rel_tol=1e-8,
                                                    rule=Rule.TANH_SINH)) / mass
         gaps.append(abs(rho_n - lim) / lim)

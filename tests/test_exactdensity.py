@@ -6,7 +6,7 @@ import pytest
 
 from realeig import (EnsembleSpec, QuadratureSpec, Rule,
                      SeriesParams, asympt_expected, build_density_curve,
-                     density_rho, expected_real_quadrature,
+                     density_rho, expected_real_quadrature, expected_real_sum,
                      gin_asympt_expected, gin_expected_real_quadrature,
                      gin_limiting_density, kernel_S, limiting_density)
 from realeig.errors import DomainError
@@ -90,7 +90,7 @@ def test_expected_consistency_with_density_integral():
         assert direct == pytest.approx(mass, rel=1e-4)
 
 
-def test_density_vanishes_outside_limiting_support():
+def test_density_vanishes_outside_limiting_support(limit_masses):
     # just outside the limit support the finite-size density dies away;
     # the even-size subsequence decays monotonically, the odd starting
     # point carries the unpaired-spectrum parity effect
@@ -98,7 +98,7 @@ def test_density_vanishes_outside_limiting_support():
     vals = []
     for N in (25, 50, 100, 200):
         p = SeriesParams(N, N, 1)
-        mass = density_mass(p, QuadratureSpec(rel_tol=1e-7, rule=Rule.TANH_SINH))
+        mass = limit_masses[N]
         vals.append(density_rho(x_out, p, FAST) / mass)
     assert vals[1] > vals[2] > vals[3]
     assert vals[-1] < 1e-8
@@ -233,6 +233,19 @@ def test_density_curve_normalized_mass_invariant():
     xs = xs[np.abs(xs) > 1e-6]
     curve = build_density_curve(ens, xs, FAST, normalized=True)
     assert 0.98 <= curve.trapezoid_mass() <= 1.02
+
+
+def test_density_curve_odd_size_outer_bins_are_zero():
+    # at odd N = L >= 25 the outermost bins integrate to about -1e-25, far
+    # below their quadrature error; they are zero, not a negative density
+    edges = np.linspace(-1.0, 1.0, 65)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    spec = QuadratureSpec(rel_tol=3e-9, rule=Rule.TANH_SINH)
+    curve = build_density_curve(EnsembleSpec(25, 25, 1), mids, spec,
+                                normalized=False)
+    assert (curve.values >= 0).all()
+    mass = curve.values.sum() * (edges[1] - edges[0])
+    assert mass == pytest.approx(expected_real_sum(25, 25, 1) - 1, abs=1e-6)
 
 
 def test_density_curve_rejects_bad_grids():

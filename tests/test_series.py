@@ -10,6 +10,8 @@ from realeig import (SeriesParams, e_nm, f_decomposition_residual,
                      f_infinite, f_truncated)
 from realeig.errors import (DomainError, PrecisionLossError,
                             SlowConvergenceError)
+from realeig.gammafns import log_binomial
+from realeig.series import f_gin_log_array, f_truncated_log_array
 from conftest import SEED, monotone_with_slack
 
 
@@ -78,6 +80,15 @@ def test_f_infinite_tail_is_stable_against_tolerance():
 def test_f_infinite_slow_convergence_guard():
     with pytest.raises(SlowConvergenceError):
         f_infinite(1.0 - 1e-7, 2, 1)
+
+
+def test_completion_turnover_past_term_bound_fails_before_summing():
+    # turnovers of 1e9 and 5e7 terms: both exceed the 1e7 term-count bound,
+    # so the completion must refuse them up front rather than loop first
+    with pytest.raises(SlowConvergenceError):
+        f_gin_infinite(1e9, 1)
+    with pytest.raises(SlowConvergenceError):
+        f_infinite(1.0 - 2e-6, 100, 1)
 
 
 def test_f_inf_asymptotic_m1_exact():
@@ -211,3 +222,54 @@ def test_ratio_bound_inequality_property(u, v):
         return
     lhs = (1 - u * u) * (1 - v * v) / (1 - u * v) ** 2
     assert lhs <= math.exp(-(u - v) ** 2) * (1 + 1e-12)
+
+
+# Oracle for the shared series core.  Coefficients carry the absolute
+# rounding of three log-gamma values (about 1e-13 here), so every entry
+# must lie within 1e-11 of the 50-digit sum, relative to the sum of the
+# absolute terms: relative to the value itself for z >= 0, and relative to
+# the cancelled magnitude for z < 0.
+ORACLE_REL = 1e-11
+TRUNC_CASES = [(8, 2, 1), (25, 3, 3), (30, 5, 2), (60, 10, 1), (120, 40, 1)]
+TRUNC_Z = [-0.999, -0.95, -0.6, -0.21, 0.0, 0.3, 0.8, 0.999]
+GIN_CASES = [(10, 1), (30, 2), (40, 1), (80, 1)]
+GIN_T = [-30.0, -5.0, -0.5, 0.0, 0.5, 5.0, 30.0]
+
+
+def _check_against_oracle(mpmath, got, zs, coeffs):
+    logmag, sign, _ = got
+    for z, lm, sg in zip(zs, logmag, sign):
+        terms = [c * mpmath.mpf(z) ** n for n, c in enumerate(coeffs)]
+        ref = mpmath.fsum(terms)
+        scale = mpmath.fsum(abs(t) for t in terms)
+        value = sg * mpmath.exp(lm) if sg != 0 else mpmath.mpf(0)
+        assert abs(value - ref) <= ORACLE_REL * scale, (z, value, ref)
+
+
+@pytest.mark.parametrize("N,L,m", TRUNC_CASES)
+def test_f_truncated_log_array_matches_mpmath(N, L, m):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    coeffs = [mpmath.binomial(L + n, n) ** m for n in range(N - 1)]
+    _check_against_oracle(mpmath, f_truncated_log_array(np.array(TRUNC_Z), N, L, m),
+                          TRUNC_Z, coeffs)
+
+
+@pytest.mark.parametrize("N,m", GIN_CASES)
+def test_f_gin_log_array_matches_mpmath(N, m):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    coeffs = [1 / mpmath.factorial(n) ** m for n in range(N - 1)]
+    _check_against_oracle(mpmath, f_gin_log_array(np.array(GIN_T), N, m),
+                          GIN_T, coeffs)
+
+
+@pytest.mark.parametrize("N,L,m", TRUNC_CASES)
+def test_array_log_binomial_matches_per_k_loop(N, L, m):
+    n = np.arange(N - 1)
+    loop = np.empty(N - 1)
+    for k in n:
+        loop[k] = m * log_binomial(L + k, k)
+    assert np.array_equal(m * log_binomial(L + n, n), loop)
+    with pytest.raises(DomainError):
+        log_binomial(np.array([4, 3]), np.array([2, 4]))

@@ -85,18 +85,69 @@ def test_evenness(L, m):
 
 
 def test_weight_table_disk_cache_round_trip(tmp_path):
-    from realeig import cache
+    from realeig import cache, weights
 
     table = weight_table(2, 2)
-    path = cache.save_weight_table(tmp_path, table, table.grid.size)
+    spec = weights.DEFAULT_SPEC
+    path = cache.save_weight_table(tmp_path, table, table.grid.size, spec)
     assert path.exists()
     loaded = cache.load_weight_table(tmp_path, "truncated", 2, 2,
-                                     table.grid.size)
+                                     table.grid.size, spec)
     assert loaded is not None
     assert np.array_equal(loaded.log_values, table.log_values)
     assert np.array_equal(loaded.grid, table.grid)
     assert loaded.kind == table.kind
-    assert cache.load_weight_table(tmp_path, "truncated", 9, 9, 512) is None
+    assert cache.load_weight_table(tmp_path, "truncated", 9, 9, 512,
+                                   spec) is None
+
+
+def test_weight_table_keyed_by_spec(tmp_path):
+    from realeig import cache
+
+    loose = QuadratureSpec(rel_tol=1e-3, rule=Rule.TANH_SINH)
+    tight = QuadratureSpec(rel_tol=1e-4, rule=Rule.TANH_SINH)
+    table = weight_table(2, 2, loose)
+    other = weight_table(2, 2, tight)
+    assert other is not table
+    assert not np.array_equal(other.log_values, table.log_values)
+    assert weight_table(2, 2, QuadratureSpec(rel_tol=1e-3, rule=Rule.TANH_SINH)) is table
+    n = table.grid.size
+    cache.save_weight_table(tmp_path, table, n, loose)
+    assert cache.load_weight_table(tmp_path, "truncated", 2, 2, n, tight) is None
+    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 2, n, loose)
+    assert np.array_equal(loaded.log_values, table.log_values)
+
+
+def test_weight_table_built_once_for_concurrent_callers(monkeypatch):
+    import sys
+    import threading
+
+    from realeig import weights
+
+    builds = []
+    real_build = weights._build_table
+
+    def counting_build(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(weights, "_build_table", counting_build)
+    spec = QuadratureSpec(rel_tol=2e-4, rule=Rule.TANH_SINH)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(weight_table(2, 2, spec)))
+               for _ in range(6)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6 and all(r is results[0] for r in results)
+    assert len(builds) == 1
 
 
 def test_grid_nodes_reproduced_exactly():
