@@ -3,8 +3,8 @@
 Three mutually cross-validating routes to the same observables:
 
 * Monte Carlo over the matrix models (Haar-orthogonal truncations and real
-  Ginibre factors), counting real eigenvalues structurally from the real
-  Schur form;
+  Ginibre factors), counting real eigenvalues structurally from the 1x1
+  blocks of LAPACK's Hessenberg QR iteration;
 * exact finite-size kernel formulas (weight convolutions, binomial-power
   series, contour-integral coefficients);
 * closed-form asymptotic laws (the sqrt(N) arctanh law, the limiting

@@ -1,14 +1,19 @@
 """Versioned on-disk cache for weight tables and contour-coefficient tables.
 
 One .npz container per object, keyed by parameters in the file name (for
-weight tables, also by the tolerances and depth of the building spec).  The
-format version is stored inside; files with a stale version are ignored
-and rebuilt.  The cache directory comes from, in order: an explicit flag,
-the REALEIG_CACHE_DIR environment variable, or ~/.cache/realeig.
+weight tables, also by the tolerances and depth of the building spec).  A
+file is written under a temporary name in the same directory and renamed
+onto its final name, so a concurrent reader sees the old file or the whole
+new one, never a torn one.  The format version is stored inside; files
+with a stale version are ignored and rebuilt.  The cache directory comes
+from, in order: an explicit flag, the REALEIG_CACHE_DIR environment
+variable, or ~/.cache/realeig.
 """
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,20 @@ def resolve_cache_dir(override=None) -> Path:
     return path
 
 
+def _save_atomic(path: Path, **arrays) -> Path:
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        # through the handle: np.savez would append .npz to a file name
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    return path
+
+
 def _weight_path(cache_dir, kind, L, m, n, spec) -> Path:
     return Path(cache_dir) / (
         f"weights_{kind}_L{L}_m{m}_n{n}_r{spec.rel_tol!r}_a{spec.abs_tol!r}"
@@ -36,13 +55,12 @@ def _weight_path(cache_dir, kind, L, m, n, spec) -> Path:
 
 def save_weight_table(cache_dir, table, n, spec) -> Path:
     """Write a table under the name of the spec it was built with."""
-    path = _weight_path(cache_dir, table.kind, table.L, table.m, n, spec)
-    np.savez_compressed(
-        path, version=FORMAT_VERSION, L=table.L, m=table.m,
+    return _save_atomic(
+        _weight_path(cache_dir, table.kind, table.L, table.m, n, spec),
+        version=FORMAT_VERSION, L=table.L, m=table.m,
         kind=table.kind, xi_scale=table.xi_scale,
         grid=table.grid, log_values=table.log_values,
         interp_order=table.interp_order)
-    return path
 
 
 def load_weight_table(cache_dir, kind, L, m, n, spec):
@@ -69,12 +87,11 @@ def _gj_path(cache_dir, L, m) -> Path:
 
 
 def save_gj_table(cache_dir, table) -> Path:
-    path = _gj_path(cache_dir, table.L, table.m)
-    np.savez_compressed(
-        path, version=FORMAT_VERSION, L=table.L, m=table.m,
+    return _save_atomic(
+        _gj_path(cache_dir, table.L, table.m),
+        version=FORMAT_VERSION, L=table.L, m=table.m,
         rel_tol=table.rel_tol, sign=table.sign, log_g=table.log_g,
         rel_err=table.rel_err)
-    return path
 
 
 def load_gj_table(cache_dir, L, m, rel_tol):

@@ -165,12 +165,11 @@ def cmd_expected(args) -> int:
         if method == "quadrature":
             table = _weight_table(args, spec, ginibre)
             if ginibre:
-                values[method] = gin_expected_real_quadrature(
-                    args.N, args.m, spec, table)
+                values[method], errs[method] = gin_expected_real_quadrature(
+                    args.N, args.m, spec, table, return_err=True)
             else:
-                values[method] = expected_real_quadrature(
-                    SeriesParams(args.N, L, args.m), spec, table)
-            errs[method] = abs(values[method]) * spec.rel_tol * 10
+                values[method], errs[method] = expected_real_quadrature(
+                    SeriesParams(args.N, L, args.m), spec, table, return_err=True)
         elif method == "sum":
             if ginibre:
                 raise UsageError("the sum route applies to the truncated-"

@@ -101,16 +101,17 @@ def _density(ax: float, log_w, log_series, breakpoints, spec,
     return 0.0 if abs(total) <= err else total
 
 
-def _mass(rho, edges, spec) -> float:
-    """Twice the integral of the even density rho(x, inner_spec) over edges.
+def _mass(rho, edges, spec) -> tuple[float, float]:
+    """Twice the integral of the even density rho(x, inner_spec) over edges,
+    and twice the outer quadrature's error estimate.
 
     Each density value is computed at 0.3 times the outer relative tolerance.
     """
     inner = QuadratureSpec(rel_tol=spec.rel_tol * 0.3, abs_tol=0.0,
                            max_depth=spec.max_depth, rule=Rule.TANH_SINH)
-    total, _ = _piecewise(lambda xs: np.array([rho(float(v), inner) for v in xs]),
-                          edges, spec)
-    return 2.0 * total
+    total, err = _piecewise(lambda xs: np.array([rho(float(v), inner) for v in xs]),
+                            edges, spec)
+    return 2.0 * total, 2.0 * err
 
 
 def _regime_edges(p: SeriesParams) -> list[float]:
@@ -170,26 +171,32 @@ def density_rho(x: float, p: SeriesParams, spec: QuadratureSpec | None = None,
 
 
 def density_mass(p: SeriesParams, spec: QuadratureSpec | None = None,
-                 table=None) -> float:
-    """Total integral of the kernel density over [-1, 1] (no parity term)."""
+                 table=None, return_err: bool = False):
+    """Total integral of the kernel density over [-1, 1] (no parity term).
+
+    With return_err, returns (value, quadrature error estimate).
+    """
     spec = spec or _DEFAULT_SPEC
     if p.m > 1 and table is None:
         table = weight_table(p.L, p.m, spec)
     edges = sorted({0.0, 1.0} | {e for e in _regime_edges(p) if 0.0 < e < 1.0})
-    return _mass(lambda x, inner: density_rho(x, p, inner, table), edges, spec)
+    total, err = _mass(lambda x, inner: density_rho(x, p, inner, table), edges, spec)
+    return (total, err) if return_err else total
 
 
 def expected_real_quadrature(p: SeriesParams, spec: QuadratureSpec | None = None,
-                             table=None, parity_correction: bool = True) -> float:
+                             table=None, parity_correction: bool = True,
+                             return_err: bool = False):
     """Expected number of real eigenvalues via the density integral.
 
     With parity_correction (default), odd N receives the simulation-verified
-    +1 for the unpaired real eigenvalue; see the module docstring.
+    +1 for the unpaired real eigenvalue; see the module docstring.  With
+    return_err, returns (value, quadrature error estimate).
     """
-    total = density_mass(p, spec, table)
+    total, err = density_mass(p, spec, table, return_err=True)
     if parity_correction and p.N % 2 == 1:
         total += 1.0
-    return total
+    return (total, err) if return_err else total
 
 
 def limiting_density(x: float, m: int, alpha_t: float) -> float:
@@ -288,15 +295,19 @@ def _gin_cutoff(N: int, m: int) -> float:
 
 def gin_expected_real_quadrature(N: int, m: int,
                                  spec: QuadratureSpec | None = None,
-                                 table=None) -> float:
-    """Expected number of real eigenvalues of the Ginibre product, even N."""
+                                 table=None, return_err: bool = False):
+    """Expected number of real eigenvalues of the Ginibre product, even N.
+
+    With return_err, returns (value, quadrature error estimate).
+    """
     if N % 2 == 1:
         raise DomainError("the Ginibre kernel formulas require even N")
     spec = spec or _DEFAULT_SPEC
     if m > 1 and table is None:
         table = weight_table(1, m, spec, kind="ginibre")
-    return _mass(lambda t, inner: gin_density_rho(t, N, m, inner, table),
-                 [0.0, N ** (m / 2.0), _gin_cutoff(N, m)], spec)
+    total, err = _mass(lambda t, inner: gin_density_rho(t, N, m, inner, table),
+                       [0.0, N ** (m / 2.0), _gin_cutoff(N, m)], spec)
+    return (total, err) if return_err else total
 
 
 @dataclass

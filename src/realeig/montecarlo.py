@@ -1,12 +1,15 @@
 """Sampling of the random matrix models and real-eigenvalue counting.
 
-Real eigenvalues are classified structurally from the real Schur form:
-1x1 diagonal blocks are real eigenvalues, 2x2 blocks are complex pairs.
-LAPACK standardizes 2x2 blocks so that they always carry a conjugate pair,
-which makes the classification exact with no imaginary-part threshold.
+Real eigenvalues are classified structurally.  LAPACK's eigenvalue-only
+Hessenberg QR iteration (geev) deflates to a quasi-triangular form with
+1x1 blocks for real eigenvalues and 2x2 blocks standardized to carry a
+conjugate pair, so a real eigenvalue has imaginary part exactly 0.0 and
+no threshold is needed.
 
 Reproducibility: trial t of a run draws from a Philox stream keyed by
 (seed, t), so results are bit-identical for any thread count or schedule.
+The trials of a chunk are then stacked, and sampled, multiplied and
+counted in batched LAPACK/BLAS calls, one matrix per slice.
 """
 from __future__ import annotations
 
@@ -17,12 +20,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, SchurNoConvergenceError
 
-_GEES, = get_lapack_funcs(("gees",), (np.empty((2, 2), dtype=float),))
 _MAX_SCHUR_FAILURE_FRACTION = 1e-3
+# Cap on the Gaussian draws stacked into one batch.  Larger batches save
+# little per-call overhead and raise the peak memory of a run.
+_BATCH_BYTES = 256 * 1024
 
 
 class EnsembleKind(enum.Enum):
@@ -95,88 +99,136 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n orthogonal matrix.
+def _haar_columns(a: np.ndarray) -> np.ndarray:
+    """Q factor of the reduced QR of each (n, k) slice of a, with the
+    R-diagonal sign fix (Mezzadri 2007).
 
-    QR of a Gaussian matrix alone is not Haar; the R-diagonal sign
-    correction makes the distribution right-invariant.
+    QR of a Gaussian matrix alone is not Haar; the sign correction makes
+    the distribution right-invariant.  Column j of Q depends only on
+    columns 1..j of a, so the leading k columns of a Haar n x n matrix come
+    from the leading k columns of its Gaussian draw.
     """
+    q, r = np.linalg.qr(a)
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d[d == 0.0] = 1.0
+    return q * d[..., None, :]
+
+
+def sample_haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed n x n orthogonal matrix."""
     if n < 1:
         raise DomainError("n must be a positive integer")
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
-    d[d == 0.0] = 1.0
-    return q * d[None, :]
+    return _haar_columns(rng.standard_normal((n, n)))
 
 
-def sample_product(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the m-factor product matrix.
+def _draw_size(spec: EnsembleSpec) -> int:
+    """Side of each factor's square Gaussian draw."""
+    if spec.kind is EnsembleKind.TRUNCATED_ORTHOGONAL:
+        return spec.N + spec.L
+    return spec.N
 
-    Ginibre factors are scaled by N^(-1/2) so products stay in double range
-    for large N*m; real-eigenvalue counts are scale-invariant and the scaled
-    eigenvalues are the natural density variable.
+
+def _products(spec: EnsembleSpec, draws: np.ndarray) -> np.ndarray:
+    """Product matrices from stacked draws of shape (batch, m, n, n).
+
+    A truncated factor is the top-left N x N block of the Haar matrix of
+    its draw; Ginibre factors are scaled by N^(-1/2) so products stay in
+    double range for large N*m.  Real-eigenvalue counts are scale-invariant
+    and the scaled eigenvalues are the natural density variable.
     """
+    N = spec.N
     out = None
-    for _ in range(spec.m):
+    for k in range(spec.m):
         if spec.kind is EnsembleKind.TRUNCATED_ORTHOGONAL:
-            big = sample_haar_orthogonal(spec.N + spec.L, rng)
-            factor = big[:spec.N, :spec.N]
+            factor = _haar_columns(draws[:, k, :, :N])[:, :N, :]
         else:
-            factor = rng.standard_normal((spec.N, spec.N)) / math.sqrt(spec.N)
+            factor = draws[:, k] / math.sqrt(N)
         out = factor if out is None else out @ factor
     return np.ascontiguousarray(out)
 
 
-def _schur_eigvals(M: np.ndarray):
+def sample_product(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the m-factor product matrix: m square Gaussian blocks
+    from rng, in factor order, made into factors as in _products."""
+    n = _draw_size(spec)
+    return _products(spec, rng.standard_normal((1, spec.m, n, n)))[0]
+
+
+def _real_mask(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues come from 1x1 blocks; see the module docstring."""
+    return np.imag(w) == 0.0
+
+
+def _eigvals(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError("need a square real matrix")
     if not np.isfinite(M).all():
         raise DomainError("matrix entries must be finite")
-    res = _GEES(lambda *args: None, M, compute_v=0)
-    info = res[-1]
-    if info > 0:
+    try:
+        return np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
         raise SchurNoConvergenceError(
-            f"QR iteration failed to converge (info={info})")
-    wr, wi = res[2], res[3]
-    return wr, wi
+            f"QR iteration failed to converge ({exc})") from exc
 
 
 def count_real_eigs(M: np.ndarray) -> int:
-    """Number of 1x1 blocks in the real Schur form of M."""
-    wr, wi = _schur_eigvals(M)
-    return int((wi == 0.0).sum())
+    """Number of real eigenvalues of M (1x1 blocks of its Schur form)."""
+    return int(_real_mask(_eigvals(M)).sum())
 
 
 def real_eigs(M: np.ndarray) -> np.ndarray:
-    """The 1x1 Schur block values (real eigenvalues), unordered."""
-    wr, wi = _schur_eigvals(M)
-    return wr[wi == 0.0]
+    """The real eigenvalues of M, unordered."""
+    w = _eigvals(M)
+    return np.real(w)[_real_mask(w)]
+
+
+def _count_each(M: np.ndarray, edges, hist) -> np.ndarray:
+    """Counts of a batch one matrix at a time, after the batched call
+    failed; -1 marks a matrix whose QR iteration did not converge."""
+    counts = np.empty(len(M), dtype=np.int64)
+    for i, A in enumerate(M):
+        try:
+            if edges is None:
+                counts[i] = count_real_eigs(A)
+            else:
+                ev = real_eigs(A)
+                counts[i] = len(ev)
+                hist += np.histogram(ev, bins=edges)[0]
+        except SchurNoConvergenceError:
+            counts[i] = -1
+    return counts
 
 
 def _run_trials(spec, seed, t0, t1, edges):
+    """Counts of trials t0..t1-1 (-1 for a failed trial), the histogram of
+    their real eigenvalues over edges (or None), and the failed trials."""
+    n = _draw_size(spec)
+    batch = max(1, _BATCH_BYTES // (spec.m * n * n * 8))
     counts = np.empty(t1 - t0, dtype=np.int64)
     hist = np.zeros(len(edges) - 1, dtype=np.int64) if edges is not None else None
-    failures = []
-    for t in range(t0, t1):
-        rng = trial_rng(seed, t)
-        M = sample_product(spec, rng)
+    for b0 in range(t0, t1, batch):
+        b1 = min(b0 + batch, t1)
+        draws = np.empty((b1 - b0, spec.m, n, n))
+        for i in range(b1 - b0):
+            trial_rng(seed, b0 + i).standard_normal(out=draws[i])
+        M = _products(spec, draws)
         try:
-            if edges is not None:
-                ev = real_eigs(M)
-                c = len(ev)
-                hist += np.histogram(ev, bins=edges)[0]
-            else:
-                c = count_real_eigs(M)
-        except SchurNoConvergenceError:
-            counts[t - t0] = -1
-            failures.append(t)
+            w = np.linalg.eigvals(M)
+        except np.linalg.LinAlgError:
+            counts[b0 - t0:b1 - t0] = _count_each(M, edges, hist)
             continue
-        if (c - spec.N) % 2 != 0 or not 0 <= c <= spec.N:
-            raise AssertionError(
-                f"parity invariant violated: {c} real eigenvalues at N={spec.N}")
-        counts[t - t0] = c
+        real = _real_mask(w)
+        counts[b0 - t0:b1 - t0] = real.sum(axis=1)
+        if edges is not None:
+            hist += np.histogram(np.real(w)[real], bins=edges)[0]
+    ok = counts >= 0
+    bad = ok & (((counts - spec.N) % 2 != 0) | (counts > spec.N))
+    if bad.any():
+        raise AssertionError(
+            f"parity invariant violated: {counts[bad][0]} real eigenvalues "
+            f"at N={spec.N}")
+    failures = (t0 + np.flatnonzero(~ok)).tolist()
     return counts, hist, failures
 
 

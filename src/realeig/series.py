@@ -24,6 +24,7 @@ from .summation import NeumaierSum
 PRECISION_LOSS_RATIO = 1e-6
 _LOG_TINY = -745.0  # exp() underflows below this
 _MAX_TERMS = 10 ** 7  # term-count bound of the completed series
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,12 @@ class SeriesParams:
 def _log_series(log_coeffs: np.ndarray, z):
     """Vectorized sum_n exp(log_coeffs[n]) z^n in log space.
 
-    Returns (log|f|, sign, log_floor) where log_floor bounds the roundoff
+    Returns (log|f|, sign, log_floor, log_sum_floor).  log_floor bounds the
     noise of each entry (columns with heavy alternating cancellation have
-    log_floor close to log|f|).
+    log_floor close to log|f|).  It adds two parts: the summation roundoff
+    log_sum_floor, and the rounding of the log coefficients, which is
+    relative to their size and so perturbs term n by about
+    eps*(1+|log_coeffs[n]|).
     """
     z = np.asarray(z, dtype=float)
     n = np.arange(len(log_coeffs))
@@ -69,22 +73,31 @@ def _log_series(log_coeffs: np.ndarray, z):
     lt = log_coeffs[:, None] + n[:, None] * lz[None, :]
     sg = np.where((z[None, :] < 0) & (n[:, None] % 2 == 1), -1.0, 1.0)
     M = lt.max(axis=0)
-    scaled = sg * np.exp(lt - M[None, :])
-    # Neumaier accumulation down the term axis
+    mag = np.exp(lt - M[None, :])
+    coeff_noise = (_EPS * (1.0 + np.abs(log_coeffs))) @ mag
+    scaled = sg * mag
+    # Neumaier accumulation down the term axis; mag holds |t| and abs_s
+    # carries |s| from one row to the next
     s = np.zeros(z.shape)
+    abs_s = np.zeros(z.shape)
     comp = np.zeros(z.shape)
     maxpartial = np.zeros(z.shape)
-    for t in scaled:
+    for t, abs_t in zip(scaled, mag):
         tot = s + t
-        swap = np.abs(s) >= np.abs(t)
-        comp += np.where(swap, (s - tot) + t, (t - tot) + s)
+        comp += np.where(abs_s >= abs_t, (s - tot) + t, (t - tot) + s)
         s = tot
-        np.maximum(maxpartial, np.abs(s), out=maxpartial)
+        abs_s = np.abs(s)
+        np.maximum(maxpartial, abs_s, out=maxpartial)
     vals = s + comp
+    sum_noise = maxpartial * (_EPS * math.sqrt(max(len(log_coeffs), 1)))
     with np.errstate(divide="ignore"):
         return (M + np.log(np.abs(vals)), np.sign(vals),
-                M + np.log(maxpartial * 2.0 ** -52
-                           * math.sqrt(max(len(log_coeffs), 1))))
+                M + np.log(sum_noise + coeff_noise), M + np.log(sum_noise))
+
+
+def _trunc_log_coeffs(N: int, L: int, m: int) -> np.ndarray:
+    n = np.arange(N - 1)
+    return m * log_binomial(L + n, n)
 
 
 def f_truncated_log_array(xy, N: int, L: int, m: int):
@@ -92,8 +105,7 @@ def f_truncated_log_array(xy, N: int, L: int, m: int):
 
     Returns (log|f|, sign, log_floor); see _log_series.
     """
-    n = np.arange(N - 1)
-    return _log_series(m * log_binomial(L + n, n), xy)
+    return _log_series(_trunc_log_coeffs(N, L, m), xy)[:3]
 
 
 def f_truncated(x: float, p: SeriesParams) -> SignedLogValue:
@@ -104,22 +116,23 @@ def f_truncated(x: float, p: SeriesParams) -> SignedLogValue:
     """
     if not math.isfinite(x) or abs(x) > 1.0:
         raise DomainError(f"f_truncated requires |x| <= 1, got {x}")
-    logmag, sign, floor = f_truncated_log_array(np.array([x]), p.N, p.L, p.m)
-    return _guard_cancellation(logmag, sign, floor,
+    return _guard_cancellation(_log_series(_trunc_log_coeffs(p.N, p.L, p.m), [x]),
                                f"f_truncated(x={x}, N={p.N}, L={p.L}, m={p.m})")
 
 
-def _guard_cancellation(logmag, sign, floor, what: str) -> SignedLogValue:
-    """Three-way cancellation policy for compensated alternating sums.
+def _guard_cancellation(series, what: str) -> SignedLogValue:
+    """Three-way cancellation policy for one _log_series entry.
 
-    Below the roundoff floor the sum is zero within tolerance; within six
-    digits of the floor the value is untrustworthy and flagged; otherwise
-    the value stands.
+    Below the summation roundoff the sum is zero within tolerance; within
+    six digits of the full noise floor the value is untrustworthy and
+    flagged; otherwise the value stands.  The coefficient rounding counts
+    only toward the flag: it can turn a value into an error, never into a
+    silent zero.
     """
-    lm, sg, fl = float(logmag[0]), int(sign[0]), float(floor[0])
-    # the floor is an RMS estimate; anything within a few multiples of it
-    # is indistinguishable from zero
-    if sg == 0 or lm <= fl + math.log(8.0):
+    lm, sg, fl, fl_sum = (float(a[0]) for a in series)
+    # the summation floor is an RMS estimate; anything within a few
+    # multiples of it is indistinguishable from zero
+    if sg == 0 or lm <= fl_sum + math.log(8.0):
         return SignedLogValue(0, -math.inf)
     if fl - lm > math.log(PRECISION_LOSS_RATIO):
         raise PrecisionLossError(
@@ -242,9 +255,13 @@ def f_decomposition_residual(x: float, p: SeriesParams, omega: float) -> float:
     return math.exp(resid.log_mag - ft.log_mag)
 
 
+def _gin_log_coeffs(N: int, m: int) -> np.ndarray:
+    return -m * gammaln(np.arange(N - 1) + 1.0)
+
+
 def f_gin_log_array(ts, N: int, m: int):
     """Vectorized log-space Ginibre truncated sum sum t^n/(n!)^m."""
-    return _log_series(-m * gammaln(np.arange(N - 1) + 1.0), ts)
+    return _log_series(_gin_log_coeffs(N, m), ts)[:3]
 
 
 def f_gin_truncated(t: float, N: int, m: int) -> SignedLogValue:
@@ -253,8 +270,7 @@ def f_gin_truncated(t: float, N: int, m: int) -> SignedLogValue:
         raise DomainError("f_gin_truncated requires finite t")
     if N < 2:
         raise DomainError("N must be >= 2")
-    logmag, sign, floor = f_gin_log_array(np.array([t]), N, m)
-    return _guard_cancellation(logmag, sign, floor,
+    return _guard_cancellation(_log_series(_gin_log_coeffs(N, m), [t]),
                                f"f_gin_truncated(t={t}, N={N}, m={m})")
 
 

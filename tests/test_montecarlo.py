@@ -8,6 +8,7 @@ from realeig import (EnsembleKind, EnsembleSpec, QuadratureSpec, Rule,
                      SeriesParams, count_real_eigs, estimate_expected_real,
                      expected_real_quadrature, real_eigs,
                      sample_haar_orthogonal, sample_product, trial_rng)
+from realeig import montecarlo
 from realeig.errors import DomainError
 from realeig.montecarlo import histogram_csv_lines
 from conftest import SEED
@@ -242,3 +243,70 @@ def test_ginibre_counts_against_sqrt_law():
             trials=10 ** 4, seed=SEED + m)
         target = math.sqrt(2.0 * 50 * m / math.pi)
         assert abs(est.mean - target) <= max(3.0 * est.stderr, 1.0)
+
+
+def test_batch_size_does_not_change_results(monkeypatch):
+    edges = np.linspace(-1.0, 1.0, 9)
+    specs = [EnsembleSpec(8, 2, 1), EnsembleSpec(5, 3, 2),
+             EnsembleSpec(6, 0, 2, EnsembleKind.REAL_GINIBRE)]
+    batched = [estimate_expected_real(s, 500, SEED, bins=edges).to_json()
+               for s in specs]
+    monkeypatch.setattr(montecarlo, "_BATCH_BYTES", 1)
+    single = [estimate_expected_real(s, 500, SEED, bins=edges).to_json()
+              for s in specs]
+    assert batched == single
+    # the per-trial loop is the reference for the stacked counts
+    for s in specs:
+        counts, _, _ = montecarlo._run_trials(s, SEED, 0, 200, None)
+        want = [count_real_eigs(sample_product(s, trial_rng(SEED, t)))
+                for t in range(200)]
+        assert counts.tolist() == want
+
+
+def test_leading_column_qr_matches_full_haar_truncation():
+    for N, L, m in ((5, 3, 1), (8, 2, 2), (20, 20, 1)):
+        for t in range(30):
+            got = sample_product(EnsembleSpec(N, L, m), trial_rng(SEED, t))
+            rng = trial_rng(SEED, t)
+            want = np.eye(N)
+            for _ in range(m):
+                want = want @ sample_haar_orthogonal(N + L, rng)[:N, :N]
+            assert np.abs(got - want).max() <= 1e-13
+
+
+def test_counts_match_real_schur_blocks():
+    # reference: 1x1 blocks of the full real Schur form (LAPACK gees)
+    from scipy.linalg import schur
+    for spec in (EnsembleSpec(8, 2, 1), EnsembleSpec(6, 0, 2, EnsembleKind.REAL_GINIBRE)):
+        for t in range(500):
+            M = sample_product(spec, trial_rng(SEED, t))
+            T = schur(M, output="real")[0]
+            pairs = int((np.diagonal(T, offset=-1) != 0.0).sum())
+            assert count_real_eigs(M) == spec.N - 2 * pairs
+
+
+def test_schur_failure_falls_back_to_single_matrices(monkeypatch):
+    spec = EnsembleSpec(8, 2, 1)
+    edges = np.linspace(-1.0, 1.0, 9)
+    want, want_hist, _ = montecarlo._run_trials(spec, SEED, 0, 1000, edges)
+    bad = sample_product(spec, trial_rng(SEED, 300))
+    bad_hist = np.histogram(real_eigs(bad), bins=edges)[0]
+    eigvals = np.linalg.eigvals
+    raised = {2: 0, 3: 0}
+
+    def flaky(a):
+        # the batch holding trial 300 fails, then trial 300 fails alone
+        if (np.asarray(a) == bad).all(axis=(-2, -1)).any():
+            raised[np.ndim(a)] += 1
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    counts, hist, failed = montecarlo._run_trials(spec, SEED, 0, 1000, edges)
+    assert raised == {2: 1, 3: 1} and failed == [300] and counts[300] == -1
+    assert np.array_equal(np.delete(counts, 300), np.delete(want, 300))
+    assert np.array_equal(hist, want_hist - bad_hist)
+    est = estimate_expected_real(spec, 1000, SEED, bins=edges)
+    assert est.schur_failures == 1
+    assert np.array_equal(est.histogram.counts, want_hist - bad_hist)
+    assert est.mean == pytest.approx(np.delete(want, 300).mean(), rel=1e-14)

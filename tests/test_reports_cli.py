@@ -203,3 +203,24 @@ def test_cli_verify_full_battery(capsys):
     # numeric output is independent of the thread budget
     assert first == second
     assert first.count("PASS") == len(first.strip().splitlines())
+
+
+@pytest.mark.parametrize("ensemble,N,L", [("truncated-orthogonal", 6, 2),
+                                          ("real-ginibre", 4, 0)])
+def test_cli_expected_reports_computed_quadrature_error(tmp_path, ensemble, N, L):
+    from realeig import (QuadratureSpec, Rule, SeriesParams,
+                         expected_real_quadrature, gin_expected_real_quadrature)
+
+    out = tmp_path / "e.csv"
+    code = main(["expected", "--ensemble", ensemble, "--N", str(N), "--L", str(L),
+                 "--m", "1", "--methods", "quadrature", "--rel-tol", "1e-8",
+                 "--out", str(out)])
+    assert code == 0
+    row, = ComparisonReport.from_csv_text(out.read_text()).rows
+    spec = QuadratureSpec(rel_tol=1e-8, rule=Rule.TANH_SINH)
+    if ensemble == "real-ginibre":
+        want = gin_expected_real_quadrature(N, 1, spec, return_err=True)
+    else:
+        want = expected_real_quadrature(SeriesParams(N, L, 1), spec, return_err=True)
+    assert (row.value, row.err_est) == want
+    assert math.isfinite(want[1]) and want[1] > 0.0

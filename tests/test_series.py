@@ -264,6 +264,18 @@ def test_f_gin_log_array_matches_mpmath(N, m):
                           GIN_T, coeffs)
 
 
+def test_log_floor_covers_coefficient_rounding():
+    # alternating sum whose error is set by the rounding of the gammaln
+    # coefficients (about 1e-13 relative), not by the summation roundoff
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    N, L, m, z = 200, 200, 1, -0.436
+    logmag, sign, floor = f_truncated_log_array(np.array([z]), N, L, m)
+    ref = mpmath.fsum(mpmath.binomial(L + n, n) ** m * mpmath.mpf(z) ** n
+                      for n in range(N - 1))
+    assert abs(sign[0] * mpmath.exp(logmag[0]) - ref) <= mpmath.exp(floor[0])
+
+
 @pytest.mark.parametrize("N,L,m", TRUNC_CASES)
 def test_array_log_binomial_matches_per_k_loop(N, L, m):
     n = np.arange(N - 1)
