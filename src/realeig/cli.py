@@ -129,6 +129,19 @@ def _weight_table(args, spec, ginibre):
     return weight_table(args.L, args.m, spec, cache_dir=cdir)
 
 
+def _gj_table(args, L, j_max):
+    """The disk-cached g_j table for (L, --m), extended to j_max and saved
+    back; --rel-tol, when given, is its tolerance."""
+    table = GjTable(L, args.m) if args.rel_tol is None else GjTable(L, args.m, args.rel_tol)
+    cdir = cache.resolve_cache_dir(args.cache_dir)
+    cached = cache.load_gj_table(cdir, L, args.m, table.rel_tol)
+    if cached is not None:
+        table = cached
+    table.ensure(j_max, threads=args.threads)
+    cache.save_gj_table(cdir, table)
+    return table
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
@@ -175,7 +188,8 @@ def cmd_expected(args) -> int:
                 raise UsageError("the sum route applies to the truncated-"
                                  "orthogonal ensemble only")
             values[method], errs[method] = expected_real_sum(
-                args.N, L, args.m, threads=args.threads, return_err=True)
+                args.N, L, args.m, table=_gj_table(args, L, args.N - 2),
+                threads=args.threads, return_err=True)
         elif method == "montecarlo":
             kind = (EnsembleKind.REAL_GINIBRE if ginibre
                     else EnsembleKind.TRUNCATED_ORTHOGONAL)
@@ -286,13 +300,7 @@ def cmd_weak(args) -> int:
     if len(Ns) < 2:
         raise UsageError("--N-list needs at least two values")
     t0 = time.time()
-    table = GjTable(args.L, args.m)
-    cdir = cache.resolve_cache_dir(args.cache_dir)
-    cached = cache.load_gj_table(cdir, args.L, args.m, table.rel_tol)
-    if cached is not None:
-        table = cached
-    table.ensure(max(Ns) - 2, threads=args.threads)
-    cache.save_gj_table(cdir, table)
+    table = _gj_table(args, args.L, max(Ns) - 2)
     report = ComparisonReport(rows=[], config=_config_dict(args), seed=args.seed)
     values = {}
     for N in Ns:

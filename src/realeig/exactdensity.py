@@ -26,13 +26,20 @@ import numpy as np
 
 from .errors import DomainError, PrecisionLossError
 from .montecarlo import EnsembleKind, EnsembleSpec
-from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive
+# tanh_sinh_adaptive is not called here; it stays a module global because
+# perfbench's tracer wraps the names this module holds
+from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive, tanh_sinh_batch  # noqa: F401
 from .series import SeriesParams, f_gin_log_array, f_truncated_log_array
 from .weights import _log_base_array, weight_table
 
 _DEFAULT_SPEC = QuadratureSpec(rel_tol=3e-9, abs_tol=0.0, max_depth=16,
                                rule=Rule.TANH_SINH)
 _MAX_EXACT_SIZE = 256
+# Byte budget of one series evaluation's term matrix: flat quadrature nodes
+# are evaluated in chunks so the (N-1) x points matrices stay this small.
+_CHUNK_BYTES = 1 << 20
+# Fractions of each panel where the integrand is probed for its scale.
+_PROBES = np.array([0.11, 0.37, 0.5, 0.71, 0.93])
 
 
 def _check_envelope(p: SeriesParams) -> None:
@@ -55,63 +62,87 @@ def _log_weight_fn(kind: str, L: int, m: int, spec, table):
     return table.log_weight
 
 
-def _piecewise(f, points, spec) -> tuple[float, float]:
-    """Sum of tanh-sinh integrals over consecutive panels.
+def _chunked(fn, y, row, n_terms: int):
+    """fn(y, row) over flat nodes, in chunks whose n_terms x points series
+    matrices stay within _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (8 * max(n_terms, 1)))
+    if len(y) <= step:
+        return fn(y, row)
+    return np.concatenate([fn(y[i:i + step], row[i:i + step])
+                           for i in range(0, len(y), step)])
 
-    A coarse probe of the integrand sets an absolute-tolerance floor so
+
+def _piecewise(f, points, spec) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of points, the sum of tanh-sinh integrals over its panels.
+
+    points is (rows, k), each row sorted; its consecutive pairs are the
+    panels, and panels no wider than 1e-15 (repeated points pad rows with
+    fewer edges) are dropped.  f(y, row) evaluates row `row`'s integrand.
+    Every panel of every row runs in one tanh-sinh batch.  A coarse probe
+    of each row's integrand sets that row's absolute-tolerance floor, so
     panels that contribute nothing to the total (underflowed tails) are
     not asked for impossible relative accuracy.
     """
-    panels = [(a, b) for a, b in zip(points[:-1], points[1:]) if b - a > 1e-15]
-    scale = 0.0
-    span = sum(b - a for a, b in panels)
-    for a, b in panels:
-        probes = a + (b - a) * np.array([0.11, 0.37, 0.5, 0.71, 0.93])
-        fp = np.abs(np.asarray(f(probes)))
-        if fp.size:
-            scale = max(scale, float(fp.max()))
-    floor = max(spec.abs_tol, scale * span * spec.rel_tol * 0.02)
-    panel_spec = QuadratureSpec(rel_tol=spec.rel_tol, abs_tol=floor,
-                                max_depth=spec.max_depth, rule=Rule.TANH_SINH)
-    total = 0.0
-    err = 0.0
-    for a, b in panels:
-        v, e, _ = tanh_sinh_adaptive(f, a, b, panel_spec)
-        total += v
-        err += e
+    points = np.asarray(points, dtype=float)
+    lo, hi = points[:, :-1], points[:, 1:]
+    keep = hi - lo > 1e-15
+    row, _ = np.nonzero(keep)
+    a, b = lo[keep], hi[keep]
+    # each row's panel widths, added in panel order
+    span = np.array([sum(w) for w in np.where(keep, hi - lo, 0.0).tolist()])
+    probes = a[:, None] + (b - a)[:, None] * _PROBES
+    fp = np.abs(np.asarray(f(probes.ravel(), np.repeat(row, _PROBES.size))))
+    # fmax passes over a panel whose probes hold a NaN
+    scale = np.zeros(len(points))
+    np.fmax.at(scale, row, fp.reshape(probes.shape).max(axis=1))
+    floor = np.fmax(spec.abs_tol, scale * span * spec.rel_tol * 0.02)
+    v, e, _ = tanh_sinh_batch(lambda y, r: f(y, row[r]), a, b, floor[row], spec)
+    vals = np.zeros(keep.shape)
+    errs = np.zeros(keep.shape)
+    vals[keep] = v
+    errs[keep] = e
+    # added panel by panel; a dropped panel adds an exact 0.0
+    total = np.zeros(len(points))
+    err = np.zeros(len(points))
+    for j in range(keep.shape[1]):
+        total += vals[:, j]
+        err += errs[:, j]
     return total, err
 
 
-def _density(ax: float, log_w, log_series, breakpoints, spec,
-             log_pref: float = 0.0) -> float:
-    """Kernel density int |ax - y| w(ax) w(y) f(ax y) dy, times e^log_pref.
+def _density(ax, log_w, log_series, n_terms: int, points, spec,
+             log_pref: float = 0.0) -> np.ndarray:
+    """Kernel densities int |ax - y| w(ax) w(y) f(ax y) dy, times e^log_pref,
+    at every entry of the array ax.
 
     log_w is the vectorized ln w, log_series the (log|f|, sign, floor)
-    series evaluator, and breakpoints the sorted panel edges in y.  A value
-    within its own quadrature error is zero: its sign is noise, the policy
-    series._guard_cancellation applies to sums below their roundoff floor.
+    series evaluator with n_terms terms, and points[i] the sorted panel
+    edges in y for ax[i].  A value within its own quadrature error is zero:
+    its sign is noise, the policy series._guard_cancellation applies to
+    sums below their roundoff floor.
     """
-    lwx = float(log_w(np.array([ax]))[0])
+    lwx = log_w(ax)
 
-    def integrand(y):
-        lf, sf, _ = log_series(ax * y)
-        return np.abs(ax - y) * sf * np.exp(lwx + log_w(np.abs(y)) + lf + log_pref)
+    def part(y, row):
+        axr = ax[row]
+        lf, sf, _ = log_series(axr * y)
+        return np.abs(axr - y) * sf * np.exp(lwx[row] + log_w(np.abs(y)) + lf + log_pref)
 
-    total, err = _piecewise(integrand, breakpoints, spec)
-    return 0.0 if abs(total) <= err else total
+    total, err = _piecewise(lambda y, row: _chunked(part, y, row, n_terms), points, spec)
+    return np.where(np.abs(total) <= err, 0.0, total)
 
 
 def _mass(rho, edges, spec) -> tuple[float, float]:
-    """Twice the integral of the even density rho(x, inner_spec) over edges,
-    and twice the outer quadrature's error estimate.
+    """Twice the integral of the even density over edges, and twice the
+    outer quadrature's error estimate.
 
-    Each density value is computed at 0.3 times the outer relative tolerance.
+    rho(xs, inner_spec) evaluates the density at an array of abscissae;
+    each value is computed at 0.3 times the outer relative tolerance.
     """
     inner = QuadratureSpec(rel_tol=spec.rel_tol * 0.3, abs_tol=0.0,
                            max_depth=spec.max_depth, rule=Rule.TANH_SINH)
-    total, err = _piecewise(lambda xs: np.array([rho(float(v), inner) for v in xs]),
-                            edges, spec)
-    return 2.0 * total, 2.0 * err
+    total, err = _piecewise(lambda xs, _: rho(xs, inner), [edges], spec)
+    return 2.0 * float(total[0]), 2.0 * float(err[0])
 
 
 def _regime_edges(p: SeriesParams) -> list[float]:
@@ -119,17 +150,27 @@ def _regime_edges(p: SeriesParams) -> list[float]:
     return [(p.alpha + off / math.sqrt(p.N)) ** p.m for off in (-1.0, 1.0)]
 
 
-def _transition_points(x: float, p: SeriesParams) -> list[float]:
-    """y-values where f_trunc(x y) changes asymptotic regime, clipped to (-1,1)."""
-    if x == 0.0:
-        return []
-    out = []
-    for edge in _regime_edges(p):
-        for sgn in (-1.0, 1.0):
-            y = sgn * edge / abs(x)
-            if -1.0 < y < 1.0:
-                out.append(y)
-    return out
+def _transition_points(x, p: SeriesParams) -> np.ndarray:
+    """y-values where f_trunc(x y) changes asymptotic regime, one row of
+    four per entry of x; entries outside (-1, 1) (all of them at x = 0)
+    are NaN."""
+    ax = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    cols = []
+    with np.errstate(divide="ignore"):
+        for edge in _regime_edges(p):
+            for sgn in (-1.0, 1.0):
+                y = sgn * edge / ax
+                cols.append(np.where((ax != 0.0) & (-1.0 < y) & (y < 1.0), y, np.nan))
+    return np.stack(cols, axis=1)
+
+
+def _edges(fixed, extra=None) -> np.ndarray:
+    """Sorted rows of panel edges: fixed columns plus the non-NaN extras
+    (a NaN becomes a repeat of the last edge, i.e. a zero-width panel)."""
+    pts = np.stack(np.broadcast_arrays(*map(np.atleast_1d, fixed)), axis=1)
+    if extra is not None:
+        pts = np.concatenate([pts, np.where(np.isnan(extra), pts[:, -1:], extra)], axis=1)
+    return np.sort(pts, axis=1)
 
 
 def kernel_S(x1: float, x2: float, p: SeriesParams,
@@ -145,29 +186,35 @@ def kernel_S(x1: float, x2: float, p: SeriesParams,
     logw = _log_weight_fn("truncated", p.L, p.m, spec, table)
     lwx = float(logw(np.array([abs(x1)]))[0])
 
-    def integrand(y):
+    def part(y, row):
         lf, sf, _ = f_truncated_log_array(x1 * y, p.N, p.L, p.m)
         val = (x1 - y) * np.sign(x2 - y) * sf
         return val * np.exp(lwx + logw(np.abs(y)) + lf)
 
-    pts = sorted({-1.0, 0.0, float(x2), 1.0} | set(_transition_points(x1, p)))
-    total, _ = _piecewise(integrand, pts, spec)
-    return total
+    pts = _edges([-1.0, 0.0, float(x2), 1.0], _transition_points(x1, p))
+    total, _ = _piecewise(lambda y, row: _chunked(part, y, row, p.N - 1), pts, spec)
+    return float(total[0])
+
+
+def _rho(xs, p: SeriesParams, spec, table) -> np.ndarray:
+    """Truncated-model density at every entry of xs."""
+    _check_envelope(p)
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((-1.0 < xs) & (xs < 1.0))
+    if outside.any():
+        raise DomainError(f"x must lie in (-1, 1), got {xs[outside][0]}")
+    if p.m > 1 and (xs == 0.0).any():
+        raise DomainError("x = 0 is singular for m > 1")
+    ax = np.abs(xs)
+    return _density(ax, _log_weight_fn("truncated", p.L, p.m, spec, table),
+                    lambda z: f_truncated_log_array(z, p.N, p.L, p.m), p.N - 1,
+                    _edges([-1.0, 0.0, ax, 1.0], _transition_points(ax, p)), spec)
 
 
 def density_rho(x: float, p: SeriesParams, spec: QuadratureSpec | None = None,
                 table=None) -> float:
     """One-point density of real eigenvalues at x (even in x)."""
-    spec = spec or _DEFAULT_SPEC
-    _check_envelope(p)
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"x must lie in (-1, 1), got {x}")
-    if p.m > 1 and x == 0.0:
-        raise DomainError("x = 0 is singular for m > 1")
-    ax = abs(x)
-    pts = sorted({-1.0, 0.0, ax, 1.0} | set(_transition_points(ax, p)))
-    return _density(ax, _log_weight_fn("truncated", p.L, p.m, spec, table),
-                    lambda z: f_truncated_log_array(z, p.N, p.L, p.m), pts, spec)
+    return float(_rho([x], p, spec or _DEFAULT_SPEC, table)[0])
 
 
 def density_mass(p: SeriesParams, spec: QuadratureSpec | None = None,
@@ -177,10 +224,11 @@ def density_mass(p: SeriesParams, spec: QuadratureSpec | None = None,
     With return_err, returns (value, quadrature error estimate).
     """
     spec = spec or _DEFAULT_SPEC
+    _check_envelope(p)
     if p.m > 1 and table is None:
         table = weight_table(p.L, p.m, spec)
     edges = sorted({0.0, 1.0} | {e for e in _regime_edges(p) if 0.0 < e < 1.0})
-    total, err = _mass(lambda x, inner: density_rho(x, p, inner, table), edges, spec)
+    total, err = _mass(lambda xs, inner: _rho(xs, p, inner, table), edges, spec)
     return (total, err) if return_err else total
 
 
@@ -266,6 +314,23 @@ def gin_limiting_density_cdf(x: float, m: int) -> float:
     return 0.5 + math.copysign(half, x)
 
 
+def _gin_rho(ts, N: int, m: int, spec, table) -> np.ndarray:
+    """Ginibre kernel density at every entry of ts (product-scaled)."""
+    if N % 2 == 1:
+        raise DomainError("the Ginibre kernel formulas require even N")
+    if N < 2:
+        raise DomainError("N must be >= 2")
+    ts = np.asarray(ts, dtype=float)
+    if m > 1 and (ts == 0.0).any():
+        raise DomainError("t = 0 is singular for m > 1")
+    at = np.abs(ts)
+    T = _gin_cutoff(N, m)
+    return _density(at, _log_weight_fn("ginibre", 1, m, spec, table),
+                    lambda z: f_gin_log_array(z, N, m), N - 1,
+                    _edges([-T, 0.0, np.minimum(at, T), T]), spec,
+                    -m * math.log(2.0 * math.sqrt(2.0 * math.pi)))
+
+
 def gin_density_rho(t: float, N: int, m: int,
                     spec: QuadratureSpec | None = None, table=None) -> float:
     """Kernel density for Ginibre products in the product-scaled variable t.
@@ -273,19 +338,7 @@ def gin_density_rho(t: float, N: int, m: int,
     The density of scaled real eigenvalues x = t N^(-m/2) is
     N^(m/2) * gin_density_rho(N^(m/2) x).  Even N only.
     """
-    if N % 2 == 1:
-        raise DomainError("the Ginibre kernel formulas require even N")
-    if N < 2:
-        raise DomainError("N must be >= 2")
-    spec = spec or _DEFAULT_SPEC
-    if m > 1 and t == 0.0:
-        raise DomainError("t = 0 is singular for m > 1")
-    at = abs(t)
-    T = _gin_cutoff(N, m)
-    return _density(at, _log_weight_fn("ginibre", 1, m, spec, table),
-                    lambda z: f_gin_log_array(z, N, m),
-                    sorted({-T, 0.0, min(at, T), T}), spec,
-                    -m * math.log(2.0 * math.sqrt(2.0 * math.pi)))
+    return float(_gin_rho([t], N, m, spec or _DEFAULT_SPEC, table)[0])
 
 
 def _gin_cutoff(N: int, m: int) -> float:
@@ -305,7 +358,7 @@ def gin_expected_real_quadrature(N: int, m: int,
     spec = spec or _DEFAULT_SPEC
     if m > 1 and table is None:
         table = weight_table(1, m, spec, kind="ginibre")
-    total, err = _mass(lambda t, inner: gin_density_rho(t, N, m, inner, table),
+    total, err = _mass(lambda ts, inner: _gin_rho(ts, N, m, inner, table),
                        [0.0, N ** (m / 2.0), _gin_cutoff(N, m)], spec)
     return (total, err) if return_err else total
 
@@ -354,28 +407,30 @@ class DensityCurve:
 def build_density_curve(ensemble: EnsembleSpec, xs, spec: QuadratureSpec | None = None,
                         normalized: bool = True, threads: int = 1,
                         table=None) -> DensityCurve:
-    """Evaluate the exact (normalized) density on a grid, in parallel.
+    """Evaluate the exact (normalized) density on a grid in one batched pass.
 
-    Ginibre curves are in the scaled variable x = t N^(-m/2).  Grid
-    evaluations are independent; results are deterministic for any thread
-    count.
+    Ginibre curves are in the scaled variable x = t N^(-m/2).  With
+    threads > 1 the grid is split into contiguous chunks, one pass each;
+    every grid value is computed on its own, so results are bit-identical
+    for any thread count.
     """
     spec = spec or _DEFAULT_SPEC
     xs = np.asarray(xs, dtype=float)
     N, m = ensemble.N, ensemble.m
     if ensemble.kind is EnsembleKind.TRUNCATED_ORTHOGONAL:
         p = SeriesParams(N, ensemble.L, m)
-        fn = lambda x: density_rho(float(x), p, spec, table)
+        fn = lambda chunk: _rho(chunk, p, spec, table)
         mass = density_mass(p, spec, table) if normalized else 1.0
     else:
         scale = N ** (m / 2.0)
-        fn = lambda x: scale * gin_density_rho(float(x) * scale, N, m, spec, table)
+        fn = lambda chunk: scale * _gin_rho(chunk * scale, N, m, spec, table)
         mass = gin_expected_real_quadrature(N, m, spec, table) if normalized else 1.0
-    if threads == 1:
-        vals = [fn(x) for x in xs]
+    if threads == 1 or xs.size < 2:
+        vals = fn(xs)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(fn, xs))
+        chunks = np.array_split(xs, min(threads, xs.size))
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            vals = np.concatenate(list(pool.map(fn, chunks)))
     values = np.asarray(vals, dtype=float) / mass
     meta = {"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol,
             "rule": spec.rule.value, "mass": mass}

@@ -70,19 +70,23 @@ def _log_series(log_coeffs: np.ndarray, z):
     n = np.arange(len(log_coeffs))
     with np.errstate(divide="ignore"):
         lz = np.where(z == 0.0, _LOG_TINY, np.log(np.maximum(np.abs(z), 1e-300)))
-    lt = log_coeffs[:, None] + n[:, None] * lz[None, :]
-    sg = np.where((z[None, :] < 0) & (n[:, None] % 2 == 1), -1.0, 1.0)
-    M = lt.max(axis=0)
-    mag = np.exp(lt - M[None, :])
+    # the only (terms x points) matrix, updated in place from ln|t_n| to
+    # |t_n| / max_n |t_n|
+    mag = n[:, None] * lz[None, :]
+    mag += log_coeffs[:, None]
+    M = mag.max(axis=0)
+    mag -= M[None, :]
+    np.exp(mag, out=mag)
     coeff_noise = (_EPS * (1.0 + np.abs(log_coeffs))) @ mag
-    scaled = sg * mag
-    # Neumaier accumulation down the term axis; mag holds |t| and abs_s
-    # carries |s| from one row to the next
+    neg = z < 0
+    # Neumaier accumulation down the term axis; odd terms take the sign of
+    # z, and abs_s carries |s| from one row to the next
     s = np.zeros(z.shape)
     abs_s = np.zeros(z.shape)
     comp = np.zeros(z.shape)
     maxpartial = np.zeros(z.shape)
-    for t, abs_t in zip(scaled, mag):
+    for k, abs_t in enumerate(mag):
+        t = np.where(neg, -abs_t, abs_t) if k % 2 else abs_t
         tot = s + t
         comp += np.where(abs_s >= abs_t, (s - tot) + t, (t - tot) + s)
         s = tot

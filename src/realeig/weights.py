@@ -14,6 +14,8 @@ with a cubic spline in log space.
 """
 from __future__ import annotations
 
+import functools
+import logging
 import math
 import threading
 from dataclasses import dataclass, field
@@ -24,7 +26,7 @@ from scipy.interpolate import CubicSpline
 from . import cache
 from .errors import DomainError, NonConvergentError
 from .gammafns import log_beta, log_gamma_complex_array
-from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive
+from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive, tanh_sinh_batch
 from .contour import contour_line_integral
 from .signedlog import SignedLogValue
 
@@ -33,10 +35,13 @@ _MAX_GRID_SIZE = 4096
 _GIN_XI_MAX = 12.0  # Ginibre tables cover t in (0, 12^m); Gaussian tail beyond
 DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9, rule=Rule.TANH_SINH)
 
+_log = logging.getLogger(__name__)
+
 _registry: dict = {}
 _registry_lock = threading.Lock()
 
 
+@functools.lru_cache(maxsize=None)
 def log_base_prefactor(L: int) -> float:
     """log of (L / (2 B(L/2, 1/2)))^(1/2)."""
     return 0.5 * (math.log(L) - math.log(2.0) - log_beta(L / 2.0, 0.5))
@@ -161,6 +166,22 @@ def _chebyshev_grid(n: int, scale: float = 1.0) -> np.ndarray:
     return scale * 0.5 * (1.0 + np.cos((2 * k + 1) * math.pi / (2 * n)))[::-1]
 
 
+def _panel(f, a: float, b: float, spec: QuadratureSpec, x: float) -> float:
+    """One convolution panel; a non-converged value within 1e-6 relative
+    error is accepted with a warning."""
+    try:
+        return tanh_sinh_adaptive(f, a, b, spec)[0]
+    except NonConvergentError as exc:
+        # double-precision floor of singular endpoints / interpolated
+        # integrands; the mass identity certifies the table end to end
+        if exc.value is None or not exc.err_est <= 1e-6 * abs(exc.value):
+            raise
+        _log.warning("weight convolution at x=%r accepted an unconverged panel "
+                     "(%r, %r): value %r, error estimate %r",
+                     float(x), float(a), float(b), float(exc.value), float(exc.err_est))
+        return exc.value
+
+
 def _convolve_level(x: float, L: int, level: int, prev_logw, spec: QuadratureSpec,
                     kind: str) -> float:
     """ln of  2 * int w_{level-1}(x/y) w_base(y) dy/y  at a single x > 0."""
@@ -179,19 +200,14 @@ def _convolve_level(x: float, L: int, level: int, prev_logw, spec: QuadratureSpe
         y = np.asarray(y)
         return np.exp(prev_logw(x / y) + base(y) + math.log(2.0) - np.log(y) - scale)
 
+    panels = ((lo, mid), (mid, hi))
+    try:
+        values, _, _ = tanh_sinh_batch(lambda y, _: f(y), *zip(*panels), spec.abs_tol, spec)
+    except NonConvergentError:
+        values = [_panel(f, a, b, spec, x) for a, b in panels]
     total = 0.0
-    err = 0.0
-    for a, b in ((lo, mid), (mid, hi)):
-        try:
-            v, e, _ = tanh_sinh_adaptive(f, a, b, spec)
-        except NonConvergentError as exc:
-            # double-precision floor of singular endpoints / interpolated
-            # integrands; the mass identity certifies the table end to end
-            if exc.value is None or not exc.err_est <= 1e-6 * abs(exc.value):
-                raise
-            v, e = exc.value, exc.err_est
+    for v in values:
         total += v
-        err += e
     if total <= 0.0:
         raise NonConvergentError(f"non-positive convolution value at x={x}")
     return scale + math.log(total)

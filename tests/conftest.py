@@ -3,11 +3,20 @@ computed once per session and reused across test modules."""
 import numpy as np
 import pytest
 
-from realeig import EnsembleSpec, GjTable, SeriesParams, estimate_expected_real
+from realeig import EnsembleSpec, GjTable, SeriesParams, cache, estimate_expected_real
 from realeig.exactdensity import density_mass
 from realeig.quadrature import QuadratureSpec, Rule
 
 SEED = 20260808
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_cache_dir(tmp_path_factory):
+    """Point the default on-disk cache at a session directory, so CLI runs
+    without --cache-dir leave nothing in the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cache.ENV_VAR, str(tmp_path_factory.mktemp("cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

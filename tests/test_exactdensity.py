@@ -9,11 +9,12 @@ from realeig import (EnsembleSpec, QuadratureSpec, Rule,
                      density_rho, expected_real_quadrature, expected_real_sum,
                      gin_asympt_expected, gin_expected_real_quadrature,
                      gin_limiting_density, kernel_S, limiting_density)
+from realeig import exactdensity
 from realeig.errors import DomainError
 from realeig.exactdensity import DensityCurve, density_mass, gin_density_rho
 from realeig.quadrature import gauss_kronrod_adaptive
 from realeig.series import f_truncated_log_array
-from realeig.weights import _log_base_array
+from realeig.weights import _log_base_array, weight_table
 from conftest import SEED
 
 FAST = QuadratureSpec(rel_tol=1e-8, rule=Rule.TANH_SINH)
@@ -254,3 +255,36 @@ def test_density_curve_rejects_bad_grids():
         DensityCurve(ens, np.array([0.2, 0.1]), np.array([1.0, 1.0]), False)
     with pytest.raises(DomainError):
         DensityCurve(ens, np.array([0.1, 0.2]), np.array([-1.0, 1.0]), False)
+
+
+@pytest.mark.parametrize("case", [(6, 2, 1), (5, 1, 2), ("ginibre", 4, 1)],
+                         ids=["6-2-1", "5-1-2", "ginibre-4-1"])
+def test_batched_mass_matches_pointwise_composition(case):
+    # the outer rule fed one density_rho call per node, as before batching:
+    # a batch whose rows shared or leaked state would differ in some bit
+    inner = QuadratureSpec(rel_tol=FAST.rel_tol * 0.3, rule=Rule.TANH_SINH)
+    if case[0] == "ginibre":
+        _, N, m = case
+        rho = lambda t: gin_density_rho(t, N, m, inner)
+        edges = [0.0, N ** (m / 2.0), exactdensity._gin_cutoff(N, m)]
+        batched = gin_expected_real_quadrature(N, m, FAST, return_err=True)
+    else:
+        p = SeriesParams(*case)
+        table = weight_table(p.L, p.m, FAST) if p.m > 1 else None
+        rho = lambda x: density_rho(x, p, inner, table)
+        edges = sorted({0.0, 1.0} | {e for e in exactdensity._regime_edges(p)
+                                     if 0.0 < e < 1.0})
+        batched = density_mass(p, FAST, table, return_err=True)
+    total, err = exactdensity._piecewise(
+        lambda xs, _: np.array([rho(float(x)) for x in xs]), [edges], FAST)
+    assert batched == (2.0 * total[0], 2.0 * err[0])
+
+
+def test_density_curve_matches_pointwise_density():
+    p = SeriesParams(9, 3, 1)
+    xs = np.linspace(-0.95, 0.95, 16)
+    curve = build_density_curve(EnsembleSpec(9, 3, 1), xs, FAST, normalized=False)
+    assert curve.values.tolist() == [density_rho(float(x), p, FAST) for x in xs]
+    threaded = build_density_curve(EnsembleSpec(9, 3, 1), xs, FAST,
+                                   normalized=False, threads=3)
+    assert np.array_equal(threaded.values, curve.values)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from realeig import QuadratureSpec, Rule, integrate
+from realeig import quadrature
 from realeig.errors import DomainError, NonConvergentError
+from realeig.quadrature import tanh_sinh_adaptive, tanh_sinh_batch
 
 
 def test_spec_validation():
@@ -75,3 +77,55 @@ def test_nonconvergence_is_flagged():
 def test_bad_interval_rejected():
     with pytest.raises(DomainError):
         integrate(lambda x: x, 1.0, 0.0, QuadratureSpec())
+
+
+def _batch_rows():
+    # (integrand, a, b, abs_tol); the interior kink runs to the last level,
+    # the panel at 0.99 has nodes that round onto b, and the one 4 ulps wide
+    # has levels whose nodes all round onto an endpoint
+    return [(lambda x: np.exp(-x) * np.sin(7 * x), 0.0, 3.0, 0.0),
+            (lambda x: np.abs(x - 1.0 / math.pi) ** 0.3, 0.0, 1.0, 0.0),
+            (lambda x: np.log(1.0 / x), 0.0, 1.0, 1e-6),
+            (lambda x: 1.0 / np.sqrt(1.0 - x * x), -1.0, 1.0, 1e-4),
+            (lambda x: x ** 3, 0.5, 3.0, 1e-12),
+            (lambda x: np.sqrt(1.0 - x), 0.99, 1.0, 0.0),
+            (lambda x: np.cos(x), 1.0, 1.0 + 4 * 2.0 ** -52, 1e-15)]
+
+
+def _row_integrand(fs):
+    def f(x, row):
+        out = np.empty_like(x)
+        for i, g in enumerate(fs):
+            sel = row == i
+            out[sel] = g(x[sel])
+        return out
+    return f
+
+
+@pytest.mark.parametrize("block_nodes", [quadrature._BLOCK_NODES, 1])
+def test_batch_rows_match_single_rows_bit_for_bit(monkeypatch, block_nodes):
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", block_nodes)
+    spec = QuadratureSpec(rel_tol=1e-10, rule=Rule.TANH_SINH)
+    fs, a, b, tols = zip(*_batch_rows())
+    vals, errs, evals = tanh_sinh_batch(_row_integrand(fs), a, b, tols, spec)
+    for i, g in enumerate(fs):
+        alone = tanh_sinh_adaptive(g, a[i], b[i], QuadratureSpec(
+            rel_tol=1e-10, abs_tol=tols[i], rule=Rule.TANH_SINH))
+        assert (vals[i], errs[i], evals[i]) == alone
+    # the kink row converges last, long after the others left the batch
+    assert evals[1] > 10 * max(np.delete(evals, 1))
+
+
+def test_batch_nonconvergent_row_raises_its_own_error():
+    # only the kink row lacks an absolute tolerance it can meet at depth 1
+    spec = QuadratureSpec(rel_tol=1e-13, max_depth=1, rule=Rule.TANH_SINH)
+    fs, a, b, _ = zip(*_batch_rows())
+    tols = [1.0, 0.0, 1.0, 10.0, 100.0, 1.0, 1.0]
+    with pytest.raises(NonConvergentError) as alone:
+        tanh_sinh_adaptive(fs[1], a[1], b[1], QuadratureSpec(
+            rel_tol=1e-13, max_depth=1, rule=Rule.TANH_SINH))
+    with pytest.raises(NonConvergentError) as batch:
+        tanh_sinh_batch(_row_integrand(fs), a, b, tols, spec)
+    assert str(batch.value) == str(alone.value)
+    assert (batch.value.value, batch.value.err_est) == (alone.value.value,
+                                                         alone.value.err_est)

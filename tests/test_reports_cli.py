@@ -224,3 +224,35 @@ def test_cli_expected_reports_computed_quadrature_error(tmp_path, ensemble, N, L
         want = expected_real_quadrature(SeriesParams(N, L, 1), spec, return_err=True)
     assert (row.value, row.err_est) == want
     assert math.isfinite(want[1]) and want[1] > 0.0
+
+
+def test_cli_expected_sum_uses_gj_cache_and_rel_tol(tmp_path, monkeypatch):
+    from realeig import QuadratureSpec, cache, expected_real_sum
+
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "default"))
+    out = tmp_path / "e.csv"
+    argv = ["expected", "--N", "12", "--L", "2", "--m", "1", "--methods", "sum",
+            "--out", str(out)]
+
+    def rows():
+        return [(r.quantity, r.method, r.value, r.err_est)
+                for r in ComparisonReport.from_csv_text(out.read_text()).rows]
+
+    # neither flag: the library's default-tolerance sum, bit for bit
+    assert main(argv) == 0
+    cold = rows()
+    assert cold[0][2:] == expected_real_sum(12, 2, 1, return_err=True)
+    assert list((tmp_path / "default").glob("gj_*.npz"))
+    loads = []
+    real_load = cache.load_gj_table
+    monkeypatch.setattr(cache, "load_gj_table",
+                        lambda *a: loads.append(real_load(*a)) or loads[-1])
+    assert main(argv) == 0
+    assert loads and loads[0] is not None and len(loads[0]) >= 11
+    assert rows() == cold
+    # --rel-tol is the table tolerance, and --cache-dir the table's home
+    tight = tmp_path / "tight"
+    assert main(argv + ["--rel-tol", "1e-8", "--cache-dir", str(tight)]) == 0
+    want = expected_real_sum(12, 2, 1, QuadratureSpec(rel_tol=1e-8), return_err=True)
+    assert rows()[0][2:] == want
+    assert real_load(tight, 2, 1, 1e-8).rel_tol == 1e-8

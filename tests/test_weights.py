@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import scipy.special
 from realeig import (QuadratureSpec, Rule, ginibre_weight,
                      ginibre_weight_asymptotic, weight_asymptotic,
                      weight_base, weight_product, weight_table)
-from realeig.errors import DomainError
+from realeig import quadrature, weights
+from realeig.errors import DomainError, NonConvergentError
 from realeig.quadrature import tanh_sinh_adaptive
 from realeig.weights import (log_gin_mass, log_weight_mass,
                              mellin_weight_crosscheck)
@@ -264,3 +266,28 @@ def test_ginibre_asymptotic_positive():
 def test_mellin_crosscheck_validates_tables():
     worst = mellin_weight_crosscheck(2, 2, [k / 11.0 for k in range(1, 11)])
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("err_est", [1e-9, 1e-3])
+def test_unconverged_convolution_panel_is_logged_or_raised(monkeypatch, caplog,
+                                                           err_est):
+    # every tanh-sinh run stalls at value 0.5 with the given error estimate
+    def stalled(*args, **kwargs):
+        raise NonConvergentError("stalled", value=0.5, err_est=err_est)
+
+    monkeypatch.setattr(quadrature, "tanh_sinh_batch", stalled)
+    monkeypatch.setattr(weights, "tanh_sinh_batch", stalled)
+    convolve = lambda: weights._convolve_level(
+        0.3, 2, 2, lambda u: weights._log_base_array(u, 2), weights.DEFAULT_SPEC,
+        "truncated")
+    if err_est > 1e-6 * 0.5:
+        with pytest.raises(NonConvergentError):
+            convolve()
+        return
+    with caplog.at_level(logging.WARNING, logger="realeig.weights"):
+        value = convolve()
+    assert math.isfinite(value)
+    messages = [r.getMessage() for r in caplog.records if r.name == "realeig.weights"]
+    assert len(messages) == 2  # one per panel
+    for msg in messages:
+        assert "x=0.3" in msg and "value 0.5" in msg and "error estimate 1e-09" in msg
