@@ -10,6 +10,8 @@ from realeig import log_beta, log_binomial, log_gamma, log_gamma_complex
 from realeig.errors import DomainError
 from realeig.gammafns import (log_gamma_complex_array, real_log_gamma_array,
                               trigamma_array)
+from realeig.quadrature import GK_NODES
+from realeig.weakregime import _contour_line
 
 
 def test_log_gamma_small_values():
@@ -107,3 +109,45 @@ def test_trigamma_against_finite_differences():
         math.pi ** 2 / 2.0, rel=1e-10)
     assert trigamma_array(np.array([1.0]))[0] == pytest.approx(
         math.pi ** 2 / 6.0, rel=1e-10)
+
+
+# Re z < 1/2 (reflection side), the critical line, and |Im z| up to 1e6
+ORACLE_Z = [0.3 + 1e-3j, -0.25 + 1e6j, -2.7 + 3.0j, -5.5 + 0.5j, 0.49 - 0.5j,
+            0.5 + 40.0j, 1.0 + 1e4j, 7.25 - 1e5j, 37.5 + 2.0j, 1e3 + 1e6j,
+            -0.4999 - 7e5j, 4097.0 - 0.25j]
+
+
+def test_log_gamma_complex_array_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    got = log_gamma_complex_array(np.array(ORACLE_Z))
+    with mpmath.workdps(50):
+        for z, g in zip(ORACLE_Z, got):
+            want = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+            # only exp of the value is used, so a branch offset of 2 pi k is moot
+            err = abs(mpmath.exp(mpmath.mpc(g.real, g.imag) - want) - 1)
+            assert err <= 1e-14 * max(1.0, abs(want)), (z, g, want)
+
+
+def test_trigamma_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.array([1e-3, 0.2, 0.5, 1.0, 2.5, 9.99, 10.0, 37.3, 1e3, 1e6])
+    got = trigamma_array(xs)
+    with mpmath.workdps(50):
+        for x, g in zip(xs, got):
+            want = mpmath.psi(1, mpmath.mpf(x))
+            assert abs(g - want) <= 1e-13 * want, (x, g, want)
+    with pytest.raises(DomainError):
+        trigamma_array(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("L,m", [(1, 1), (2, 1), (3, 2)])
+def test_log_gamma_complex_conjugate_symmetry_on_contour(L, m):
+    # the contour coefficients integrate u >= 0 only and rely on this identity
+    js = np.arange(0.0, 2001.0, 23.0)
+    sig, tau, U = _contour_line(js, L, m, 1e-11)
+    u = U[:, None] * 0.5 * (1.0 + GK_NODES[None, :])
+    s = sig[:, None] + 1j * tau[:, None] * np.sinh(u)
+    for z in (0.5 + s, js[:, None] + 1.0 - s, (L + 1) / 2.0 + s,
+              L / 2.0 + 1.0 + js[:, None] - s):
+        assert np.array_equal(log_gamma_complex_array(np.conj(z)),
+                              np.conj(log_gamma_complex_array(z)))

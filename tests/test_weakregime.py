@@ -7,7 +7,10 @@ from realeig import (GjTable, QuadratureSpec, Rule, SeriesParams, a_lm_closed,
                      a_lm_mc, expected_real_quadrature, expected_real_sum,
                      g_j_contour, g_j_even_odd_asy, g_j_mc, g_j_sym,
                      weak_asymptotic)
+from realeig import weakregime
 from realeig.errors import DomainError
+from realeig.gammafns import log_gamma_complex_array
+from realeig.quadrature import GK_NODES, GK_WEIGHTS_G, GK_WEIGHTS_K
 from realeig.weakregime import log_2q
 from conftest import SEED
 
@@ -39,14 +42,15 @@ def test_gj_eventually_nonincreasing_in_j():
 def test_gj_contour_vs_mc_cross_representation():
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    for j in (0, 1, 2, 5):
-        for L in (1, 2, 4):
-            for m in (1, 2):
-                mc, se = g_j_mc(j, L, m, 10 ** 6, rng)
-                ct = g_j_contour(j, L, m).value
-                z = abs(ct - mc) / se
-                worst = max(worst, z)
-                assert z <= 3.0, (j, L, m, ct, mc, se)
+    cases = [(j, L, m) for j in (0, 1, 2, 5) for L in (1, 2, 4) for m in (1, 2)]
+    # mL = 1 reaches the largest |Im s| on the contour
+    cases += [(j, 1, 1) for j in (37, 150, 500, 2000)]
+    for j, L, m in cases:
+        mc, se = g_j_mc(j, L, m, 10 ** 6, rng)
+        ct = g_j_contour(j, L, m).value
+        z = abs(ct - mc) / se
+        worst = max(worst, z)
+        assert z <= 3.0, (j, L, m, ct, mc, se)
     assert worst > 0.0
 
 
@@ -144,6 +148,69 @@ def test_increment_approaches_half_log_two(gj_table_21):
     d = e4096 - e2048
     target = 0.5 * math.log(2.0)
     assert abs(d - target) <= 0.1 * target
+
+
+def test_log_law_slope_at_mL_one():
+    # the criterion-5 fit at (L, m) = (1, 1), where the slope is 1/pi
+    table = GjTable(1, 1)
+    table.ensure(8190)
+    Ns = [256, 512, 1024, 2048, 4096, 8192]
+    vals = [expected_real_sum(N, 1, 1, table=table) for N in Ns]
+    slope = float(np.polyfit(np.log(Ns), vals, 1)[0])
+    assert abs(slope - 1.0 / math.pi) <= 0.1 / math.pi
+
+
+def _g_batch_full_line(js, L, m, rel_tol, density):
+    """Reference rule: the whole line -U..U, every (j, node) pair evaluated
+    and the nodes past each index's cut-off masked afterwards."""
+    js = np.asarray(js, dtype=float)
+    sig, tau, U = weakregime._contour_line(js, L, m, rel_tol)
+    cj = np.ceil(js / 2.0)
+    edges = weakregime._BASE_EDGES
+    if density > 1:
+        refined = [0.0]
+        for a, b in zip(edges[:-1], edges[1:]):
+            refined.extend(np.linspace(a, b, density + 1)[1:])
+        edges = np.array(refined)
+    edges = np.concatenate([-edges[::-1], edges[1:]])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * GK_NODES[None, :]).ravel()
+    s = sig[:, None] + 1j * tau[:, None] * np.sinh(u)[None, :]
+    jc = js[:, None]
+    lg = log_gamma_complex_array
+    logf = (m * (lg(0.5 + s) + lg(jc + 1.0 - s) - lg((L + 1) / 2.0 + s)
+                 - lg(L / 2.0 + 1.0 + jc - s)) - np.log(cj[:, None] - s))
+    s0 = weakregime._log_integrand_real(sig, js, L, m)
+    live = np.abs(u)[None, :] <= U[:, None]
+    z = np.where(live, logf - s0[:, None], -np.inf)
+    vals = (np.exp(z.real) * np.cos(z.imag)) * (tau[:, None] * np.cosh(u)[None, :])
+    vals = vals.reshape(len(js), len(mid), 15)
+    ik = (vals * GK_WEIGHTS_K).sum(axis=2) * half
+    ig = (vals[:, :, 1::2] * GK_WEIGHTS_G).sum(axis=2) * half
+    total = ik.sum(axis=1)
+    rel = np.abs(ik - ig).sum(axis=1) / np.abs(total)
+    return np.sign(total), s0 + np.log(np.abs(total)) - math.log(2.0 * math.pi), rel
+
+
+@pytest.mark.parametrize("density", [1, 4])
+@pytest.mark.parametrize("L,m", [(2, 1), (1, 2), (3, 2)])
+def test_half_line_rule_matches_full_line_reference(L, m, density):
+    js = np.arange(301)
+    sign, logg, rel = weakregime._g_batch(js, L, m, 1e-11, density=density)
+    ref_sign, ref_logg, ref_rel = _g_batch_full_line(js, L, m, 1e-11, density)
+    assert np.array_equal(sign, ref_sign)
+    assert np.max(np.abs(logg - ref_logg)) <= 1e-12
+    assert np.max(np.abs(rel - ref_rel)) <= 1e-12
+
+
+@pytest.mark.parametrize("L,m", [(1, 1), (3, 2)])
+def test_g_values_do_not_depend_on_blocks_or_threads(L, m):
+    js = np.arange(700)
+    ref = weakregime._g_values(js, L, m)
+    got = weakregime._g_values(js, L, m, chunk=96, threads=3)
+    for a, b in zip(ref, got):
+        assert np.array_equal(a, b)
 
 
 def test_weak_asymptotic_coefficients():
