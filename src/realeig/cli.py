@@ -21,6 +21,7 @@ from .exactdensity import (asympt_expected, build_density_curve,
                            expected_real_quadrature, gin_asympt_expected,
                            gin_expected_real_quadrature,
                            gin_limiting_density_cdf, limiting_density_cdf)
+from .gammafns import log_beta
 from .montecarlo import (EnsembleKind, EnsembleSpec, estimate_expected_real,
                          histogram_csv_lines)
 from .quadrature import QuadratureSpec, Rule
@@ -46,20 +47,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p):
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--ensemble", choices=["truncated-orthogonal", "real-ginibre"],
-                   default="truncated-orthogonal")
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=20260808)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--abs-tol", type=float, default=0.0)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--cache-dir", type=str, default=None)
+_OPTIONS = {
+    "N": dict(type=int, default=None),
+    "L": dict(type=int, default=None),
+    "m": dict(type=int, default=1),
+    "ensemble": dict(choices=["truncated-orthogonal", "real-ginibre"],
+                     default="truncated-orthogonal"),
+    "trials": dict(type=int, default=100000),
+    "seed": dict(type=int, default=20260808),
+    "threads": dict(type=int, default=1),
+    "rel-tol": dict(type=float, default=None),
+    "abs-tol": dict(type=float, default=0.0),
+    "out": dict(type=str, default=None),
+    "format": dict(choices=["csv", "json"], default="csv"),
+    "cache-dir": dict(type=str, default=None),
+}
+
+
+def _add_options(p, names):
+    """Add the named shared options; each subcommand takes only those it reads."""
+    for name in names.split():
+        p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser():
@@ -71,7 +79,8 @@ def build_parser():
 
     p = sub.add_parser("expected", help="expected number of real eigenvalues "
                                         "by the selected methods")
-    _add_common(p)
+    _add_options(p, "N L m ensemble trials seed threads rel-tol abs-tol out "
+                    "format cache-dir")
     p.add_argument("--methods", type=str, default="quadrature,sum,asymptotic")
     p.add_argument("--tol-rel", type=float, default=1e-5,
                    help="relative tolerance for quadrature vs sum")
@@ -82,32 +91,33 @@ def build_parser():
 
     p = sub.add_parser("density", help="exact, simulated, and limiting density "
                                        "on a shared grid")
-    _add_common(p)
+    _add_options(p, "N L m ensemble trials seed threads rel-tol abs-tol out "
+                    "cache-dir")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--bins", type=int, default=None,
                    help="histogram bins (defaults to the grid resolution)")
 
     p = sub.add_parser("weak", help="fixed-L sweep of the expected count "
                                     "against the log-law")
-    _add_common(p)
+    _add_options(p, "L m seed threads rel-tol out format cache-dir")
     p.add_argument("--N-list", type=str, default="256,512,1024,2048,4096,8192")
 
     p = sub.add_parser("gj", help="contour coefficients with their oracles")
-    _add_common(p)
+    _add_options(p, "L m seed out format")
     p.add_argument("--j-list", type=str, default="0,1,2,5")
     p.add_argument("--mc-samples", type=int, default=200000)
 
     p = sub.add_parser("alm", help="splitting constant: closed form vs Monte Carlo")
-    _add_common(p)
+    _add_options(p, "L m seed out format")
     p.add_argument("--mc-samples", type=int, default=1000000)
 
     p = sub.add_parser("sample", help="simulate the ensemble and write the "
                                       "estimate (and histogram)")
-    _add_common(p)
+    _add_options(p, "N L m ensemble trials seed threads out")
     p.add_argument("--bins", type=int, default=None)
 
     p = sub.add_parser("verify", help="run the invariant battery")
-    _add_common(p)
+    _add_options(p, "seed threads")
     p.add_argument("--only", type=str, default=None,
                    help=f"comma list from: {','.join(available_checks())}")
     return parser
@@ -319,17 +329,12 @@ def cmd_weak(args) -> int:
                   / ((lx - lx.mean()) ** 2).sum())
     report.add("fitted_slope_top_half", "sum", slope)
     report.add("slope_target", "asymptotic",
-               1.0 / math.exp(_log_beta_half(args.L, args.m)))
+               1.0 / math.exp(log_beta(args.m * args.L / 2.0, 0.5)))
     report.wall_time_s = time.time() - t0
     _write_report(report, args, "weak")
     for row in report.rows:
         print(f"  {row.quantity:28s} {row.method:12s} {row.value:.8g}")
     return EXIT_OK
-
-
-def _log_beta_half(L, m):
-    from .gammafns import log_beta
-    return log_beta(m * L / 2.0, 0.5)
 
 
 def cmd_gj(args) -> int:

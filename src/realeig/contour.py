@@ -11,90 +11,51 @@ from .quadrature import QuadratureSpec, gauss_kronrod_adaptive
 _TWO_PI = 2.0 * math.pi
 
 
-def contour_line_integral(f, re_line: float, spec: QuadratureSpec,
-                          accelerate: bool = True) -> complex:
+def contour_line_integral(f, re_line: float, spec: QuadratureSpec) -> complex:
     """(1 / 2 pi i) * integral of f over the line Re s = re_line.
 
     f must be vectorized over complex ndarrays, analytic on the line, and
-    decay at least like |Im s|^(-1-eps).
-
-    With accelerate=True the line is parametrized as Im s = sinh(u), which
-    turns polynomial decay into exponential decay in u; the truncation range
-    doubles until the outermost panel contributes less than rel_tol/10.
-    Use accelerate=False for integrands whose oscillation in Im s would be
-    compressed into an unresolvable chirp by the sinh map (e.g. x^{-s}
-    factors with polynomially decaying gamma ratios); panels in Im s are
-    then expanded geometrically until they stop contributing.
+    decay at least like |Im s|^(-1-eps).  The line is integrated in Im s
+    directly, so oscillation from x^{-s} factors stays resolvable: a
+    central panel on [-1, 1], then panels expanded geometrically outward
+    until two in a row stop contributing.
 
     For conjugate-symmetric integrands the result is real; an imaginary
     residue at or below 1e-10 (relative to the magnitude) is zeroed.
     """
-    if accelerate:
-        def g(u):
-            u = np.asarray(u)
-            s = re_line + 1j * np.sinh(u)
-            return f(s) * np.cosh(u)
+    def g(t):
+        t = np.asarray(t)
+        return f(re_line + 1j * t)
 
-        value, err, _ = None, None, 0
-        u_max = 4.0
-        panel_spec = QuadratureSpec(rel_tol=spec.rel_tol * 0.5,
-                                    abs_tol=spec.abs_tol,
-                                    max_depth=spec.max_depth + 12)
-        total, err, _ = gauss_kronrod_adaptive(g, -u_max, u_max, panel_spec,
-                                               check_nan=False)
-        while u_max < 48.0:
-            scale = max(abs(total), spec.abs_tol)
-            tail_spec = QuadratureSpec(rel_tol=0.5,
-                                       abs_tol=max(scale * spec.rel_tol * 0.02, 5e-324),
-                                       max_depth=spec.max_depth + 12)
-            hi, ehi, _ = gauss_kronrod_adaptive(g, u_max, 2 * u_max, tail_spec,
-                                                check_nan=False)
-            lo, elo, _ = gauss_kronrod_adaptive(g, -2 * u_max, -u_max, tail_spec,
-                                                check_nan=False)
-            total = total + hi + lo
-            err += ehi + elo
-            if abs(hi) + abs(lo) < spec.rel_tol / 10.0 * max(abs(total), spec.abs_tol):
+    panel_spec = QuadratureSpec(rel_tol=spec.rel_tol * 0.5,
+                                abs_tol=spec.abs_tol,
+                                max_depth=spec.max_depth + 12)
+    value, err, _ = gauss_kronrod_adaptive(g, -1.0, 1.0, panel_spec, check_nan=False)
+    t_edge = 1.0
+    quiet = 0
+    while t_edge < 2 ** 26:
+        scale = max(abs(value), spec.abs_tol)
+        tail_spec = QuadratureSpec(rel_tol=0.1,
+                                   abs_tol=max(scale * spec.rel_tol * 0.02, 5e-324),
+                                   max_depth=spec.max_depth + 14)
+        hi, ehi, _ = gauss_kronrod_adaptive(g, t_edge, 2 * t_edge, tail_spec,
+                                            check_nan=False)
+        lo, elo, _ = gauss_kronrod_adaptive(g, -2 * t_edge, -t_edge, tail_spec,
+                                            check_nan=False)
+        value = value + hi + lo
+        err += ehi + elo
+        # one quiet panel can be an oscillation zero; require two in a row
+        if abs(hi) + abs(lo) < spec.rel_tol / 10.0 * max(abs(value), spec.abs_tol):
+            quiet += 1
+            if quiet >= 2:
                 break
-            u_max *= 2.0
         else:
-            raise NonConvergentError(
-                "contour tail still contributing at the sinh-range cap",
-                value=total / _TWO_PI, err_est=err / _TWO_PI)
-        value = total
+            quiet = 0
+        t_edge *= 2.0
     else:
-        def g(t):
-            t = np.asarray(t)
-            return f(re_line + 1j * t)
-
-        panel_spec = QuadratureSpec(rel_tol=spec.rel_tol * 0.5,
-                                    abs_tol=spec.abs_tol,
-                                    max_depth=spec.max_depth + 12)
-        value, err, _ = gauss_kronrod_adaptive(g, -1.0, 1.0, panel_spec, check_nan=False)
-        t_edge = 1.0
-        quiet = 0
-        while t_edge < 2 ** 26:
-            scale = max(abs(value), spec.abs_tol)
-            tail_spec = QuadratureSpec(rel_tol=0.1,
-                                       abs_tol=max(scale * spec.rel_tol * 0.02, 5e-324),
-                                       max_depth=spec.max_depth + 14)
-            hi, ehi, _ = gauss_kronrod_adaptive(g, t_edge, 2 * t_edge, tail_spec,
-                                                check_nan=False)
-            lo, elo, _ = gauss_kronrod_adaptive(g, -2 * t_edge, -t_edge, tail_spec,
-                                                check_nan=False)
-            value = value + hi + lo
-            err += ehi + elo
-            # one quiet panel can be an oscillation zero; require two in a row
-            if abs(hi) + abs(lo) < spec.rel_tol / 10.0 * max(abs(value), spec.abs_tol):
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-            t_edge *= 2.0
-        else:
-            raise NonConvergentError(
-                "contour tail still contributing at the panel cap",
-                value=value / _TWO_PI, err_est=err / _TWO_PI)
+        raise NonConvergentError(
+            "contour tail still contributing at the panel cap",
+            value=value / _TWO_PI, err_est=err / _TWO_PI)
 
     result = complex(value) / _TWO_PI
     if abs(result.imag) <= 1e-10 * max(1.0, abs(result.real)):

@@ -375,7 +375,7 @@ def mellin_weight_crosscheck(L: int, m: int, points, spec: QuadratureSpec | None
                   - log_gamma_complex_array((s + L) / 2.0))
             return np.exp(m * (log_c_half + lb) - s * math.log(x) - math.log(2.0))
 
-        inv = contour_line_integral(f, 1.0, spec, accelerate=False).real
+        inv = contour_line_integral(f, 1.0, spec).real
         ref = math.exp(float(table.log_weight(np.array([x]))[0]))
         worst = max(worst, abs(inv / ref - 1.0))
     return worst

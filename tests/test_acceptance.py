@@ -10,11 +10,10 @@ from realeig import (EnsembleKind, EnsembleSpec, QuadratureSpec, Rule,
                      density_rho, estimate_expected_real,
                      expected_real_quadrature, expected_real_sum,
                      g_j_contour, g_j_mc, gin_asympt_expected,
-                     gin_limiting_density, limiting_density,
-                     sample_haar_orthogonal, trial_rng, weight_table)
+                     gin_limiting_density, limiting_density)
 from realeig.gammafns import log_beta
-from realeig.quadrature import gauss_kronrod_adaptive, tanh_sinh_adaptive
-from realeig.weights import log_weight_mass
+from realeig.quadrature import gauss_kronrod_adaptive
+from realeig.verify import run_verify
 from conftest import SEED
 
 FAST = QuadratureSpec(rel_tol=1e-8, rule=Rule.TANH_SINH)
@@ -158,52 +157,13 @@ def test_criterion_8_ginibre_law():
 
 
 def test_criterion_9_property_suite(million_trials_821):
-    details = []
     # parity over one million trials (asserted per-trial by the sampler)
-    parity_ok = million_trials_821.trials == 10 ** 6 \
+    manifest_ok = million_trials_821.trials == 10 ** 6 \
         and million_trials_821.schur_failures == 0
-    details.append("parity 0 violations in manifest 1e6 trials")
-
-    worst_orth = 0.0
-    for t in range(100):
-        q = sample_haar_orthogonal(30, trial_rng(SEED, t))
-        worst_orth = max(worst_orth, float(np.abs(q.T @ q - np.eye(30)).max()))
-    orth_ok = worst_orth <= 1e-12
-    details.append(f"orthogonality residual {worst_orth:.1e}")
-
-    mass_ok = True
-    for (L, m) in ((2, 2), (3, 2), (2, 3)):
-        table = weight_table(L, m)
-        target = log_weight_mass(L, m)
-        f = lambda x: np.exp(table.log_weight(x) - target + math.log(2.0))
-        v, _, _ = tanh_sinh_adaptive(f, 0.0, 1.0,
-                                     QuadratureSpec(rel_tol=1e-9,
-                                                    rule=Rule.TANH_SINH))
-        mass_ok &= abs(v - 1.0) <= 1e-6
-    details.append(f"weight mass identities: {mass_ok}")
-
-    p = SeriesParams(8, 2, 2)
-    even_gap = 0.0
-    for x in (0.2, 0.45, 0.7):
-        a = density_rho(x, p, FAST)
-        b = density_rho(-x, p, FAST)
-        even_gap = max(even_gap, abs(a - b) / a)
-    even_ok = even_gap <= 1e-8
-    details.append(f"density evenness gap {even_gap:.1e}")
-
-    rng = np.random.default_rng(SEED)
-    u = rng.uniform(0, 1, 10 ** 5)
-    v = rng.uniform(0, 1, 10 ** 5)
-    lhs = (1 - u ** 2) * (1 - v ** 2) / (1 - u * v) ** 2
-    bound_ok = int((lhs > np.exp(-(u - v) ** 2) * (1 + 1e-12)).sum()) == 0
-    details.append("ratio bound 0 violations in 1e5")
-
-    spec = EnsembleSpec(3, 2, 1)
-    outs = [estimate_expected_real(spec, 500, SEED, threads=k).to_json()
-            for k in (1, 4, 16)]
-    det_ok = outs[0] == outs[1] == outs[2]
-    details.append(f"bit-identical across threads: {det_ok}")
-
+    results = run_verify(only=("parity", "haar", "mass", "evenness",
+                               "gaussian-bound", "determinism"), seed=SEED)
+    details = ["parity 0 violations in manifest 1e6 trials"]
+    details += [f"{r.name} {'PASS' if r.passed else 'FAIL'}: {r.detail}"
+                for r in results]
     report("9 (property suite)",
-           parity_ok and orth_ok and mass_ok and even_ok and bound_ok and det_ok,
-           "; ".join(details))
+           manifest_ok and all(r.passed for r in results), "; ".join(details))

@@ -22,7 +22,7 @@ def test_gamma_mellin_pair(x):
     assert got.real == pytest.approx(math.exp(-x), rel=1e-10)
 
 
-def test_unaccelerated_mode_agrees():
+def test_log_inverse_mellin_pair():
     # 1/s^2 on Re s = 1 inverts to ln(1/x) on (0, 1)
     x = 0.35
     spec = QuadratureSpec(rel_tol=1e-8)
@@ -30,7 +30,7 @@ def test_unaccelerated_mode_agrees():
     def f(s):
         return np.power(x, -s) / s ** 2
 
-    got = contour_line_integral(f, 1.0, spec, accelerate=False)
+    got = contour_line_integral(f, 1.0, spec)
     assert got.real == pytest.approx(math.log(1.0 / x), rel=1e-6)
 
 

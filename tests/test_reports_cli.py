@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from realeig import montecarlo
 from realeig.cli import main
 from realeig.errors import DomainError
 from realeig.reports import ComparisonReport, ReportRow
+from realeig.verify import run_verify
 from conftest import SEED
 
 
@@ -173,6 +175,23 @@ def test_cli_entry_point_runs():
 
 def test_cli_verify_subset():
     assert main(["verify", "--only", "gaussian-bound,haar"]) == 0
+
+
+def test_cli_rejects_options_a_subcommand_does_not_read(tmp_path):
+    argv = ["weak", "--L", "2", "--N-list", "32,64", "--cache-dir", str(tmp_path),
+            "--out", str(tmp_path / "w.csv")]
+    assert main(argv) == 0
+    assert main(argv + ["--trials", "5"]) == 4
+    assert main(["verify", "--out", "x"]) == 4
+
+
+def test_verify_parity_fails_when_engine_breaks_parity(monkeypatch):
+    # counting complex eigenvalues instead gives even counts at odd N
+    monkeypatch.setattr(montecarlo, "_real_mask", lambda w: np.imag(w) != 0.0)
+    result, = run_verify(only=["parity"])
+    assert not result.passed
+    assert "parity invariant violated" in result.detail
+    assert main(["verify", "--only", "parity"]) == 2
 
 
 def test_cli_numerical_failure_exit():
