@@ -210,9 +210,11 @@ def tanh_sinh_batch(f, a, b, abs_tol, spec: QuadratureSpec, max_level: int = 12)
     array; a level's running rows come in blocks of about _BLOCK_NODES
     nodes.  A row stops at its own level and leaves the batch, so each
     row's value, error and evaluation count are those of the row
-    integrated alone.  Returns (value, err_est, evals) arrays; a row that
-    misses its tolerance at the last level raises NonConvergentError (the
-    first such row in row order).
+    integrated alone.  Returns (value, err_est, evals) arrays.  Rows that
+    miss their tolerance at the last level raise one NonConvergentError:
+    its value and err_est are the first such row's (in row order), its
+    values and err_ests the whole batch's, and failed_rows lists every such
+    row, so a caller can judge each without running it again.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -266,13 +268,14 @@ def tanh_sinh_batch(f, a, b, abs_tol, spec: QuadratureSpec, max_level: int = 12)
         err = (np.where(has_prev, np.abs(cur - prev), np.abs(cur))
                + d * h * 2 * tail)
         tol = _pymax(abs_tol, spec.rel_tol * np.abs(cur))
+        value[rows], err_est[rows], evals[rows] = cur, err, used
         bad = np.flatnonzero(err > tol)
         if bad.size:
             i = bad[0]
             raise NonConvergentError(
                 f"tanh-sinh stalled at err={err[i]:.3e} > tol={tol[i]:.3e}",
-                value=float(cur[i]), err_est=float(err[i]))
-        value[rows], err_est[rows], evals[rows] = cur, err, used
+                value=float(cur[i]), err_est=float(err[i]),
+                values=value, err_ests=err_est, failed_rows=rows[bad])
     return value, err_est, evals
 
 

@@ -19,9 +19,9 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import cache
 from .errors import DomainError, NonConvergentError
@@ -29,6 +29,9 @@ from .gammafns import log_beta, log_gamma_complex_array
 from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive, tanh_sinh_batch
 from .contour import contour_line_integral
 from .signedlog import SignedLogValue
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 DEFAULT_GRID_SIZE = 512
 _MAX_GRID_SIZE = 4096
@@ -112,6 +115,10 @@ class WeightTable:
     _spline: CubicSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # imported here: scipy.interpolate loads scipy.optimize, linalg and
+        # sparse, which only a process that builds or loads a table needs
+        from scipy.interpolate import CubicSpline
+
         if np.any(np.diff(self.grid) <= 0):
             raise DomainError("grid must be strictly increasing")
         self._spline = CubicSpline(self.grid, self.log_values)
@@ -166,51 +173,63 @@ def _chebyshev_grid(n: int, scale: float = 1.0) -> np.ndarray:
     return scale * 0.5 * (1.0 + np.cos((2 * k + 1) * math.pi / (2 * n)))[::-1]
 
 
-def _panel(f, a: float, b: float, spec: QuadratureSpec, x: float) -> float:
-    """One convolution panel; a non-converged value within 1e-6 relative
-    error is accepted with a warning."""
+def _convolve_level(xs, L: int, level: int, prev_logw, spec: QuadratureSpec,
+                    kind: str) -> np.ndarray:
+    """ln of  2 * int w_{level-1}(x/y) w_base(y) dy/y  at every node x > 0.
+
+    Each node's integral is split at mid into the panels (lo, mid) and
+    (mid, hi), and all 2n panels run as one tanh_sinh_batch, in node order.
+    A panel that misses its tolerance is accepted within 1e-6 relative
+    error (logged at DEBUG, with one WARNING per level), otherwise it raises.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if kind == "truncated":
+        lo, hi = xs, np.ones_like(xs)
+        base = lambda y: _log_base_array(y, L)
+    else:
+        hi = np.full_like(xs, 45.0)
+        lo = xs / hi
+        base = lambda y: -0.5 * np.asarray(y) ** 2
+    root = np.sqrt(xs)
+    mid = np.where((lo < root) & (root < hi), root, 0.5 * (lo + hi))
+    # scale by the integrand magnitude at the midpoint to keep exp in range
+    scale = prev_logw(xs / mid) + base(mid)
+    row_x, row_scale = np.repeat(xs, 2), np.repeat(scale, 2)
+
+    def f(y, row):
+        return np.exp(prev_logw(row_x[row] / y) + base(y) + math.log(2.0)
+                      - np.log(y) - row_scale[row])
+
+    a = np.column_stack([lo, mid]).ravel()
+    b = np.column_stack([mid, hi]).ravel()
     try:
-        return tanh_sinh_adaptive(f, a, b, spec)[0]
+        values = tanh_sinh_batch(f, a, b, spec.abs_tol, spec)[0]
     except NonConvergentError as exc:
         # double-precision floor of singular endpoints / interpolated
         # integrands; the mass identity certifies the table end to end
-        if exc.value is None or not exc.err_est <= 1e-6 * abs(exc.value):
-            raise
-        _log.warning("weight convolution at x=%r accepted an unconverged panel "
-                     "(%r, %r): value %r, error estimate %r",
-                     float(x), float(a), float(b), float(exc.value), float(exc.err_est))
-        return exc.value
-
-
-def _convolve_level(x: float, L: int, level: int, prev_logw, spec: QuadratureSpec,
-                    kind: str) -> float:
-    """ln of  2 * int w_{level-1}(x/y) w_base(y) dy/y  at a single x > 0."""
-    if kind == "truncated":
-        lo, hi = x, 1.0
-        base = lambda y: _log_base_array(y, L)
-    else:
-        hi = 45.0
-        lo = x / hi
-        base = lambda y: -0.5 * np.asarray(y) ** 2
-    mid = math.sqrt(x) if lo < math.sqrt(x) < hi else 0.5 * (lo + hi)
-    # scale by the integrand magnitude at the midpoint to keep exp in range
-    scale = float(prev_logw(np.array([x / mid]))[0] + base(np.array([mid]))[0])
-
-    def f(y):
-        y = np.asarray(y)
-        return np.exp(prev_logw(x / y) + base(y) + math.log(2.0) - np.log(y) - scale)
-
-    panels = ((lo, mid), (mid, hi))
-    try:
-        values, _, _ = tanh_sinh_batch(lambda y, _: f(y), *zip(*panels), spec.abs_tol, spec)
-    except NonConvergentError:
-        values = [_panel(f, a, b, spec, x) for a, b in panels]
-    total = 0.0
-    for v in values:
-        total += v
-    if total <= 0.0:
-        raise NonConvergentError(f"non-positive convolution value at x={x}")
-    return scale + math.log(total)
+        values, errs, failed = exc.values, exc.err_ests, exc.failed_rows
+        for r in failed:
+            x, v, e = float(row_x[r]), float(values[r]), float(errs[r])
+            if not e <= 1e-6 * abs(v):
+                raise NonConvergentError(
+                    f"weight convolution at x={x!r}: panel ({float(a[r])!r}, "
+                    f"{float(b[r])!r}) stalled at value {v!r}, error estimate {e!r}",
+                    value=v, err_est=e)
+            _log.debug("weight convolution at x=%r accepted an unconverged panel "
+                       "(%r, %r): value %r, error estimate %r", x, float(a[r]),
+                       float(b[r]), v, e)
+        w = failed[np.argmax(errs[failed] / np.abs(values[failed]))]
+        _log.warning("weight table (L=%d, %s) level %d accepted %d unconverged "
+                     "panels; worst at x=%r, panel (%r, %r): value %r, error "
+                     "estimate %r", L, kind, level, len(failed), float(row_x[w]),
+                     float(a[w]), float(b[w]), float(values[w]), float(errs[w]))
+    out = np.empty(xs.shape)
+    for i, (v1, v2) in enumerate(values.reshape(-1, 2)):
+        total = v1 + v2
+        if total <= 0.0:
+            raise NonConvergentError(f"non-positive convolution value at x={xs[i]}")
+        out[i] = scale[i] + math.log(total)
+    return out
 
 
 def _build_table(L: int, m: int, n: int, spec: QuadratureSpec, kind: str) -> WeightTable:
@@ -222,9 +241,7 @@ def _build_table(L: int, m: int, n: int, spec: QuadratureSpec, kind: str) -> Wei
         prev_logw = lambda u: -0.5 * np.asarray(u) ** 2
     table = None
     for level in range(2, m + 1):
-        vals = np.empty(n)
-        for i, xv in enumerate(xi ** level):
-            vals[i] = _convolve_level(xv, L, level, prev_logw, spec, kind)
+        vals = _convolve_level(xi ** level, L, level, prev_logw, spec, kind)
         table = WeightTable(L=L, m=level, grid=xi, log_values=vals,
                             kind=kind, xi_scale=xi_scale)
         prev_logw = table.log_weight

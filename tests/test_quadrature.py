@@ -117,15 +117,25 @@ def test_batch_rows_match_single_rows_bit_for_bit(monkeypatch, block_nodes):
 
 
 def test_batch_nonconvergent_row_raises_its_own_error():
-    # only the kink row lacks an absolute tolerance it can meet at depth 1
+    # only the two kink rows lack an absolute tolerance they can meet at
+    # depth 1; the error reports both, and every row as if run alone
+    rows = _batch_rows() + [(_batch_rows()[1][0], 0.0, 2.0, 0.0)]
+    fs, a, b, _ = zip(*rows)
+    tols = [1.0, 0.0, 1.0, 10.0, 100.0, 1.0, 1.0, 0.0]
+    alone, first = [], None
+    for i, g in enumerate(fs):
+        try:
+            v, e, _ = tanh_sinh_adaptive(g, a[i], b[i], QuadratureSpec(
+                rel_tol=1e-13, abs_tol=tols[i], max_depth=1, rule=Rule.TANH_SINH))
+        except NonConvergentError as exc:
+            v, e = exc.value, exc.err_est
+            first = first or exc
+        alone.append((v, e))
     spec = QuadratureSpec(rel_tol=1e-13, max_depth=1, rule=Rule.TANH_SINH)
-    fs, a, b, _ = zip(*_batch_rows())
-    tols = [1.0, 0.0, 1.0, 10.0, 100.0, 1.0, 1.0]
-    with pytest.raises(NonConvergentError) as alone:
-        tanh_sinh_adaptive(fs[1], a[1], b[1], QuadratureSpec(
-            rel_tol=1e-13, max_depth=1, rule=Rule.TANH_SINH))
     with pytest.raises(NonConvergentError) as batch:
         tanh_sinh_batch(_row_integrand(fs), a, b, tols, spec)
-    assert str(batch.value) == str(alone.value)
-    assert (batch.value.value, batch.value.err_est) == (alone.value.value,
-                                                         alone.value.err_est)
+    err = batch.value
+    assert str(err) == str(first)
+    assert (err.value, err.err_est) == (first.value, first.err_est) == alone[1]
+    assert err.failed_rows.tolist() == [1, 7]
+    assert list(zip(err.values.tolist(), err.err_ests.tolist())) == alone

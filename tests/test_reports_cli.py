@@ -183,6 +183,8 @@ def test_cli_rejects_options_a_subcommand_does_not_read(tmp_path):
     assert main(argv) == 0
     assert main(argv + ["--trials", "5"]) == 4
     assert main(["verify", "--out", "x"]) == 4
+    # no prefix matching: --N is not taken as --N-list
+    assert main(["weak", "--L", "2", "--N", "64,128"]) == 4
 
 
 def test_verify_parity_fails_when_engine_breaks_parity(monkeypatch):

@@ -271,23 +271,129 @@ def test_mellin_crosscheck_validates_tables():
 @pytest.mark.parametrize("err_est", [1e-9, 1e-3])
 def test_unconverged_convolution_panel_is_logged_or_raised(monkeypatch, caplog,
                                                            err_est):
-    # every tanh-sinh run stalls at value 0.5 with the given error estimate
-    def stalled(*args, **kwargs):
-        raise NonConvergentError("stalled", value=0.5, err_est=err_est)
+    # every panel stalls at value 0.5 with the given error estimate
+    def stalled(f, a, b, abs_tol, spec):
+        n = len(a)
+        raise NonConvergentError("stalled", value=0.5, err_est=err_est,
+                                 values=np.full(n, 0.5), err_ests=np.full(n, err_est),
+                                 failed_rows=np.arange(n))
 
-    monkeypatch.setattr(quadrature, "tanh_sinh_batch", stalled)
     monkeypatch.setattr(weights, "tanh_sinh_batch", stalled)
     convolve = lambda: weights._convolve_level(
-        0.3, 2, 2, lambda u: weights._log_base_array(u, 2), weights.DEFAULT_SPEC,
-        "truncated")
+        np.array([0.3]), 2, 2, lambda u: weights._log_base_array(u, 2),
+        weights.DEFAULT_SPEC, "truncated")
     if err_est > 1e-6 * 0.5:
         with pytest.raises(NonConvergentError):
             convolve()
         return
-    with caplog.at_level(logging.WARNING, logger="realeig.weights"):
-        value = convolve()
+    with caplog.at_level(logging.DEBUG, logger="realeig.weights"):
+        value, = convolve()
     assert math.isfinite(value)
-    messages = [r.getMessage() for r in caplog.records if r.name == "realeig.weights"]
-    assert len(messages) == 2  # one per panel
-    for msg in messages:
+    records = [r for r in caplog.records if r.name == "realeig.weights"]
+    panels = [r.getMessage() for r in records if r.levelno == logging.DEBUG]
+    assert len(panels) == 2  # one per panel
+    summary, = [r.getMessage() for r in records if r.levelno == logging.WARNING]
+    assert "accepted 2 unconverged panels" in summary
+    for msg in panels + [summary]:
         assert "x=0.3" in msg and "value 0.5" in msg and "error estimate 1e-09" in msg
+
+
+def _reference_table(L, m, n, spec, kind):
+    """The per-node build: each node's two panels in a batch of their own,
+    run again one by one when that batch raises.  Returns the table and the
+    accepted panels as (x, a, b, value, err_est)."""
+    accepted = []
+
+    def panel(f, a, b, x):
+        try:
+            return tanh_sinh_adaptive(f, a, b, spec)[0]
+        except NonConvergentError as exc:
+            if exc.value is None or not exc.err_est <= 1e-6 * abs(exc.value):
+                raise
+            accepted.append((float(x), float(a), float(b), float(exc.value),
+                             float(exc.err_est)))
+            return exc.value
+
+    def convolve(x, prev_logw):
+        if kind == "truncated":
+            lo, hi = x, 1.0
+            base = lambda y: weights._log_base_array(y, L)
+        else:
+            hi = 45.0
+            lo = x / hi
+            base = lambda y: -0.5 * np.asarray(y) ** 2
+        mid = math.sqrt(x) if lo < math.sqrt(x) < hi else 0.5 * (lo + hi)
+        scale = float(prev_logw(np.array([x / mid]))[0] + base(np.array([mid]))[0])
+
+        def f(y):
+            y = np.asarray(y)
+            return np.exp(prev_logw(x / y) + base(y) + math.log(2.0) - np.log(y) - scale)
+
+        panels = ((lo, mid), (mid, hi))
+        try:
+            values, _, _ = quadrature.tanh_sinh_batch(
+                lambda y, _: f(y), *zip(*panels), spec.abs_tol, spec)
+        except NonConvergentError:
+            values = [panel(f, a, b, x) for a, b in panels]
+        total = 0.0
+        for v in values:
+            total += v
+        assert total > 0.0
+        return scale + math.log(total)
+
+    xi_scale = 1.0 if kind == "truncated" else weights._GIN_XI_MAX
+    xi = weights._chebyshev_grid(n, xi_scale)
+    if kind == "truncated":
+        prev_logw = lambda u: weights._log_base_array(u, L)
+    else:
+        prev_logw = lambda u: -0.5 * np.asarray(u) ** 2
+    for level in range(2, m + 1):
+        vals = np.empty(n)
+        for i, xv in enumerate(xi ** level):
+            vals[i] = convolve(xv, prev_logw)
+        table = weights.WeightTable(L=L, m=level, grid=xi, log_values=vals,
+                                    kind=kind, xi_scale=xi_scale)
+        prev_logw = table.log_weight
+    return table, accepted
+
+
+@pytest.mark.parametrize("L,m,rel_tol,kind", [
+    (2, 2, None, "truncated"), (3, 2, None, "truncated"), (2, 3, None, "truncated"),
+    (1, 2, None, "truncated"), (1, 2, 3e-9, "truncated"), (1, 2, None, "ginibre")])
+def test_batched_build_matches_per_node_reference(caplog, L, m, rel_tol, kind):
+    spec = (weights.DEFAULT_SPEC if rel_tol is None
+            else QuadratureSpec(rel_tol=rel_tol, rule=Rule.TANH_SINH))
+    want, want_accepted = _reference_table(L, m, weights.DEFAULT_GRID_SIZE, spec, kind)
+    with caplog.at_level(logging.DEBUG, logger="realeig.weights"):
+        got = weights._build_table(L, m, weights.DEFAULT_GRID_SIZE, spec, kind)
+    records = [r for r in caplog.records if r.name == "realeig.weights"]
+    accepted = [r.args for r in records if r.levelno == logging.DEBUG]
+    assert got.grid.tobytes() == want.grid.tobytes()
+    assert got.log_values.tobytes() == want.log_values.tobytes()
+    assert accepted == want_accepted
+    # L = 1 accepts panels on every build, each level with one summary
+    assert bool(accepted) == (L == 1 and kind == "truncated")
+    assert sum(r.levelno == logging.WARNING for r in records) == bool(accepted)
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import realeig
+
+    code = ("import sys\n"
+            "import realeig, realeig.cli\n"
+            "heavy = [name for name in ('scipy.interpolate', 'scipy.optimize',\n"
+            "         'scipy.linalg') if name in sys.modules]\n"
+            "assert not heavy, heavy\n"
+            "table = realeig.weight_table(2, 2)\n"
+            "assert 'scipy.interpolate' in sys.modules\n"
+            "print(float(table.log_weight([0.5])[0]))\n")
+    src = Path(realeig.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(math.log(math.log(2.0)), rel=3e-5)
