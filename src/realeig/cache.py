@@ -59,8 +59,7 @@ def save_weight_table(cache_dir, table, n, spec) -> Path:
         _weight_path(cache_dir, table.kind, table.L, table.m, n, spec),
         version=FORMAT_VERSION, L=table.L, m=table.m,
         kind=table.kind, xi_scale=table.xi_scale,
-        grid=table.grid, log_values=table.log_values,
-        interp_order=table.interp_order)
+        grid=table.grid, log_values=table.log_values)
 
 
 def load_weight_table(cache_dir, kind, L, m, n, spec):
@@ -75,9 +74,8 @@ def load_weight_table(cache_dir, kind, L, m, n, spec):
                 return None
             return WeightTable(
                 L=int(data["L"]), m=int(data["m"]), grid=data["grid"],
-                log_values=data["log_values"],
-                interp_order=int(data["interp_order"]),
-                kind=str(data["kind"]), xi_scale=float(data["xi_scale"]))
+                log_values=data["log_values"], kind=str(data["kind"]),
+                xi_scale=float(data["xi_scale"]))
     except (OSError, KeyError, ValueError):
         return None
 

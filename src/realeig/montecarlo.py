@@ -207,11 +207,21 @@ def _run_trials(spec, seed, t0, t1, edges):
     batch = max(1, _BATCH_BYTES // (spec.m * n * n * 8))
     counts = np.empty(t1 - t0, dtype=np.int64)
     hist = np.zeros(len(edges) - 1, dtype=np.int64) if edges is not None else None
+    # one generator, re-keyed to (seed, t) for each trial: the stream of
+    # trial_rng(seed, t) without the OS-entropy seeding that every new
+    # Philox(key=...) does before its key replaces it
+    rng = trial_rng(seed, t0)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, t0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for b0 in range(t0, t1, batch):
         b1 = min(b0 + batch, t1)
         draws = np.empty((b1 - b0, spec.m, n, n))
         for i in range(b1 - b0):
-            trial_rng(seed, b0 + i).standard_normal(out=draws[i])
+            key[1] = b0 + i
+            rng.bit_generator.state = state
+            rng.standard_normal(out=draws[i])
         M = _products(spec, draws)
         try:
             w = np.linalg.eigvals(M)

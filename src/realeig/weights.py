@@ -19,7 +19,6 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +28,6 @@ from .gammafns import log_beta, log_gamma_complex_array
 from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive, tanh_sinh_batch
 from .contour import contour_line_integral
 from .signedlog import SignedLogValue
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 DEFAULT_GRID_SIZE = 512
 _MAX_GRID_SIZE = 4096
@@ -95,6 +91,59 @@ def _check_m(m):
         raise DomainError(f"m must be a positive integer, got {m}")
 
 
+class _NotAKnotSpline:
+    """Cubic spline through (x, y) with not-a-knot end conditions.
+
+    It has the end conditions and Hermite power-basis coefficients of
+    scipy's default CubicSpline.  The knot slopes s solve the tridiagonal
+    system
+        dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+            = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
+    at the interior knots, closed by rows that make the third derivative
+    continuous at the 2nd and the penultimate knots.  One forward and one
+    back sweep solve it without pivoting: the interior rows are diagonally
+    dominant, and the first elimination of each end row leaves a positive
+    pivot.  Needs at least 4 strictly increasing knots.
+    """
+
+    def __init__(self, x, y):
+        n = len(x)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        lower, diag, upper, rhs = np.empty((4, n))
+        lower[1:-1] = dx[1:]
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper[1:-1] = dx[:-1]
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        diag[0], upper[0] = dx[1], d
+        rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        lower[-1], diag[-1] = d, dx[-2]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        lower, diag, upper, rhs = (v.tolist() for v in (lower, diag, upper, rhs))
+        for i in range(1, n):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        s = [0.0] * n
+        s[-1] = rhs[-1] / diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+        s = np.array(s)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self._left, self._inner = x[:-1], x[1:-1]
+        self._c = (y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx)
+
+    def __call__(self, xi) -> np.ndarray:
+        # piece i covers [x[i], x[i+1]); the end pieces extend outward
+        i = np.searchsorted(self._inner, xi, side="right")
+        c0, c1, c2, c3 = self._c
+        s = xi - self._left.take(i)
+        s2 = s * s
+        return c0.take(i) + c1.take(i) * s + c2.take(i) * s2 + c3.take(i) * (s2 * s)
+
+
 @dataclass
 class WeightTable:
     """Tabulated log-weight on a Chebyshev grid in xi = |x|^(1/m).
@@ -109,19 +158,21 @@ class WeightTable:
     m: int
     grid: np.ndarray              # xi nodes, strictly increasing in (0, 1)
     log_values: np.ndarray        # ln w at grid nodes
-    interp_order: int = 3
     kind: str = "truncated"       # or "ginibre"
     xi_scale: float = 1.0         # grid spans (0, xi_scale)
-    _spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _spline: _NotAKnotSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # imported here: scipy.interpolate loads scipy.optimize, linalg and
-        # sparse, which only a process that builds or loads a table needs
-        from scipy.interpolate import CubicSpline
-
-        if np.any(np.diff(self.grid) <= 0):
+        grid = np.asarray(self.grid, dtype=float)
+        values = np.asarray(self.log_values, dtype=float)
+        if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 4:
+            raise DomainError("need grid and log_values of one length >= 4")
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+            raise DomainError("grid and log_values must be finite")
+        if np.any(np.diff(grid) <= 0):
             raise DomainError("grid must be strictly increasing")
-        self._spline = CubicSpline(self.grid, self.log_values)
+        self._spline = _NotAKnotSpline(grid, values)
+        self._at_lo, self._at_hi = self._spline(grid[[0, -1]])
 
     def signed_values(self):
         return [SignedLogValue.from_log(1, float(v)) for v in self.log_values]
@@ -140,7 +191,7 @@ class WeightTable:
                 with np.errstate(divide="ignore"):
                     out = np.where(
                         upper,
-                        self._spline(hi) + e * (np.log1p(-np.minimum(xi, 1.0) ** 2)
+                        self._at_hi + e * (np.log1p(-np.minimum(xi, 1.0) ** 2)
                                                 - math.log1p(-hi * hi)),
                         out)
         else:
@@ -149,7 +200,7 @@ class WeightTable:
                 # Gaussian tail continuation in the xi variable
                 out = np.where(
                     upper,
-                    self._spline(hi) - 0.5 * self.m * (xi ** 2 - hi ** 2),
+                    self._at_hi - 0.5 * self.m * (xi ** 2 - hi ** 2),
                     out)
         lower = xi < lo
         if lower.any():
@@ -158,12 +209,12 @@ class WeightTable:
                 lx = np.log(np.maximum(xi, 1e-300) ** self.m)
                 llo = math.log(lo ** self.m)
                 out = np.where(lower,
-                               self._spline(lo)
+                               self._at_lo
                                + (self.m - 1) * (np.log(-lx) - math.log(-llo)),
                                out)
         if self.kind == "truncated":
             out = np.where(xi >= 1.0,
-                           -np.inf if self.m * self.L > 2 else self._spline(hi),
+                           -np.inf if self.m * self.L > 2 else self._at_hi,
                            out)
         return np.where(x == 0.0, np.inf, out)
 
@@ -369,8 +420,8 @@ def mellin_weight_crosscheck(L: int, m: int, points, spec: QuadratureSpec | None
     (1/2) * (c^(1/2) B(s/2, L/2))^m with c = L / (2 B(L/2, 1/2)); inverting
     it on a vertical line must reproduce the table.  Returns the maximum
     relative deviation over the probe points.  Requires m*L >= 4 so the
-    line integral converges comfortably; the sinh acceleration is disabled
-    because the x^{-s} oscillation would become an unresolvable chirp.
+    line integral converges comfortably.  contour_line_integral integrates
+    in Im s directly, so the x^{-s} oscillation stays resolvable.
     """
     _check_L(L)
     _check_m(m)

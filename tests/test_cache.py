@@ -45,3 +45,16 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, kind):
     assert save(new) == path
     assert list(tmp_path.iterdir()) == [path]
     assert not np.array_equal(load(), want)
+
+
+def test_weight_table_file_with_interp_order_still_loads(tmp_path):
+    table = _weight_table(1.0)
+    spec = weights.DEFAULT_SPEC
+    path = cache.save_weight_table(tmp_path, table, 9, spec)
+    with np.load(path) as data:
+        arrays = dict(data)
+    # files written before the dead interp_order field was dropped carry it
+    np.savez_compressed(path, interp_order=3, **arrays)
+    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 2, 9, spec)
+    assert np.array_equal(loaded.log_values, table.log_values)
+    assert np.array_equal(loaded.log_weight([0.25, 0.5]), table.log_weight([0.25, 0.5]))

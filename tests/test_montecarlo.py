@@ -266,6 +266,31 @@ def test_batch_size_does_not_change_results(monkeypatch):
         assert counts.tolist() == want
 
 
+def test_pooled_streams_draw_trial_rng_streams(monkeypatch):
+    seen = []
+    products = montecarlo._products
+
+    def record(spec, draws):
+        seen.append(draws.copy())
+        return products(spec, draws)
+
+    monkeypatch.setattr(montecarlo, "_products", record)
+    for seed in (SEED, -1, 2 ** 64 + 7):
+        for m in (1, 2):
+            spec = EnsembleSpec(5, 2, m)
+            seen.clear()
+            montecarlo._run_trials(spec, seed, 37, 137, None)
+            want = np.stack([trial_rng(seed, t).standard_normal((m, 7, 7))
+                             for t in range(37, 137)])
+            assert np.concatenate(seen).tobytes() == want.tobytes()
+    monkeypatch.undo()
+    edges = np.linspace(-1.0, 1.0, 9)
+    for m in (1, 2):
+        outs = [estimate_expected_real(EnsembleSpec(5, 2, m), 700, SEED, threads=k,
+                                       bins=edges).to_json() for k in (1, 3)]
+        assert outs[0] == outs[1]
+
+
 def test_leading_column_qr_matches_full_haar_truncation():
     for N, L, m in ((5, 3, 1), (8, 2, 2), (20, 20, 1)):
         for t in range(30):

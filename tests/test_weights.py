@@ -376,7 +376,7 @@ def test_batched_build_matches_per_node_reference(caplog, L, m, rel_tol, kind):
     assert sum(r.levelno == logging.WARNING for r in records) == bool(accepted)
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
+def test_import_leaves_scipy_interpolate_unloaded(tmp_path):
     import os
     import subprocess
     import sys
@@ -386,14 +386,61 @@ def test_import_leaves_scipy_interpolate_unloaded():
 
     code = ("import sys\n"
             "import realeig, realeig.cli\n"
-            "heavy = [name for name in ('scipy.interpolate', 'scipy.optimize',\n"
-            "         'scipy.linalg') if name in sys.modules]\n"
-            "assert not heavy, heavy\n"
+            "def heavy():\n"
+            "    return [name for name in ('scipy.interpolate', 'scipy.optimize',\n"
+            "            'scipy.linalg') if name in sys.modules]\n"
+            "assert not heavy(), heavy()\n"
             "table = realeig.weight_table(2, 2)\n"
-            "assert 'scipy.interpolate' in sys.modules\n"
+            "assert not heavy(), heavy()\n"
+            "code = realeig.cli.main(['expected', '--N', '6', '--L', '2', '--m', '2',\n"
+            "                         '--methods', 'quadrature',\n"
+            "                         '--cache-dir', sys.argv[1], '--out', sys.argv[2]])\n"
+            "assert code == 0, code\n"
+            "assert not heavy(), heavy()\n"
             "print(float(table.log_weight([0.5])[0]))\n")
     src = Path(realeig.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = tmp_path / "expected.csv"
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(out)],
+                          capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) == pytest.approx(math.log(math.log(2.0)), rel=3e-5)
+    last = proc.stdout.splitlines()[-1]
+    assert float(last) == pytest.approx(math.log(math.log(2.0)), rel=3e-5)
+    assert "quadrature" in out.read_text()
+
+
+@pytest.mark.parametrize("L,m,kind", [(1, 2, "truncated"), (2, 2, "truncated"),
+                                        (2, 3, "truncated"), (1, 2, "ginibre")])
+def test_spline_matches_scipy_cubic_spline(L, m, kind):
+    from scipy.interpolate import CubicSpline
+
+    table = weight_table(L, m, kind=kind)
+    x, y = table.grid, table.log_values
+    lo, hi = x[0], x[-1]
+    ref = CubicSpline(x, y)
+    xi = np.concatenate([x, np.random.default_rng(SEED).uniform(lo, hi, 10 ** 4)])
+    assert np.abs(table._spline(xi) - ref(xi)).max() <= 1e-14
+    # the end values log_weight continues from
+    assert abs(table._at_lo - ref(lo)) <= 1e-14 and abs(table._at_hi - ref(hi)) <= 1e-14
+
+    # not-a-knot: the third derivative, 6 c3 on each piece, is continuous
+    # at the 2nd and the penultimate knots
+    c0, c1, c2, c3 = table._spline._c
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    s = np.append(c1, c1[-1] + 2 * c2[-1] * dx[-1] + 3 * c3[-1] * dx[-1] ** 2)
+    # c3 = (s_i + s_(i+1) - 2 slope_i) / dx_i^2 rounds on this scale
+    scale = np.finfo(float).eps * (np.abs(s[:-1]) + np.abs(s[1:])
+                                   + 2 * np.abs(slope)) / dx ** 2
+    for k in (1, len(x) - 2):
+        assert abs(c3[k] - c3[k - 1]) <= 8 * (scale[k] + scale[k - 1])
+
+
+def test_weight_table_needs_four_finite_increasing_nodes():
+    grid = np.linspace(0.1, 0.9, 4)
+    weights.WeightTable(L=2, m=2, grid=grid, log_values=grid)
+    bad = [(grid[:3], grid[:3]), (grid, grid[:3]), (grid[::-1], grid),
+           (grid, np.array([0.0, np.nan, 1.0, 2.0]))]
+    for g, v in bad:
+        with pytest.raises(DomainError):
+            weights.WeightTable(L=2, m=2, grid=g, log_values=v)
