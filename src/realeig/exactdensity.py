@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -405,32 +404,22 @@ class DensityCurve:
 
 
 def build_density_curve(ensemble: EnsembleSpec, xs, spec: QuadratureSpec | None = None,
-                        normalized: bool = True, threads: int = 1,
-                        table=None) -> DensityCurve:
+                        normalized: bool = True, table=None) -> DensityCurve:
     """Evaluate the exact (normalized) density on a grid in one batched pass.
 
-    Ginibre curves are in the scaled variable x = t N^(-m/2).  With
-    threads > 1 the grid is split into contiguous chunks, one pass each;
-    every grid value is computed on its own, so results are bit-identical
-    for any thread count.
+    Ginibre curves are in the scaled variable x = t N^(-m/2).
     """
     spec = spec or _DEFAULT_SPEC
     xs = np.asarray(xs, dtype=float)
     N, m = ensemble.N, ensemble.m
     if ensemble.kind is EnsembleKind.TRUNCATED_ORTHOGONAL:
         p = SeriesParams(N, ensemble.L, m)
-        fn = lambda chunk: _rho(chunk, p, spec, table)
         mass = density_mass(p, spec, table) if normalized else 1.0
+        vals = _rho(xs, p, spec, table)
     else:
         scale = N ** (m / 2.0)
-        fn = lambda chunk: scale * _gin_rho(chunk * scale, N, m, spec, table)
         mass = gin_expected_real_quadrature(N, m, spec, table) if normalized else 1.0
-    if threads == 1 or xs.size < 2:
-        vals = fn(xs)
-    else:
-        chunks = np.array_split(xs, min(threads, xs.size))
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            vals = np.concatenate(list(pool.map(fn, chunks)))
+        vals = scale * _gin_rho(xs * scale, N, m, spec, table)
     values = np.asarray(vals, dtype=float) / mass
     meta = {"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol,
             "rule": spec.rule.value, "mass": mass}

@@ -242,20 +242,17 @@ def _run_trials(spec, seed, t0, t1, edges):
     return counts, hist, failures
 
 
-def _welford(values) -> tuple[float, float]:
-    """Single-pass stable mean/variance in fixed element order."""
-    mean = 0.0
-    m2 = 0.0
-    k = 0
-    for v in values:
-        v = float(v)
-        k += 1
-        d = v - mean
-        mean += d / k
-        m2 += d * (v - mean)
-    if k < 2:
-        return mean, 0.0
-    return mean, math.sqrt(m2 / (k - 1)) / math.sqrt(k)
+def _moments(counts: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of integer counts from exact integer moments.
+
+    The int64 power sums are exact (a count is at most N, so they stay far
+    below 2^63), and Python-int arithmetic rounds the mean and the variance
+    once each.
+    """
+    k = len(counts)
+    s1 = int(counts.sum())
+    s2 = int(np.dot(counts, counts))
+    return s1 / k, math.sqrt((k * s2 - s1 * s1) / (k * k * (k - 1)))
 
 
 def estimate_expected_real(spec: EnsembleSpec, trials: int, seed: int,
@@ -285,7 +282,7 @@ def estimate_expected_real(spec: EnsembleSpec, trials: int, seed: int,
         raise SchurNoConvergenceError(
             f"{failures} of {trials} trials failed the Schur factorization")
     good = counts[counts >= 0]
-    mean, stderr = _welford(good)
+    mean, stderr = _moments(good)
     hist = None
     if edges is not None:
         total = np.zeros(len(edges) - 1, dtype=np.int64)

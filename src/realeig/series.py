@@ -19,7 +19,6 @@ from scipy.special import gammaln
 from .errors import DomainError, PrecisionLossError, SlowConvergenceError
 from .gammafns import log_binomial
 from .signedlog import SignedLogValue
-from .summation import NeumaierSum
 
 PRECISION_LOSS_RATIO = 1e-6
 _LOG_TINY = -745.0  # exp() underflows below this
@@ -99,8 +98,8 @@ def _log_series(log_coeffs: np.ndarray, z):
                 M + np.log(sum_noise + coeff_noise), M + np.log(sum_noise))
 
 
-def _trunc_log_coeffs(N: int, L: int, m: int) -> np.ndarray:
-    n = np.arange(N - 1)
+def _trunc_log_coeffs(n: np.ndarray, L: int, m: int) -> np.ndarray:
+    """ln C(L+n, n)^m at the term indices n."""
     return m * log_binomial(L + n, n)
 
 
@@ -109,7 +108,7 @@ def f_truncated_log_array(xy, N: int, L: int, m: int):
 
     Returns (log|f|, sign, log_floor); see _log_series.
     """
-    return _log_series(_trunc_log_coeffs(N, L, m), xy)[:3]
+    return _log_series(_trunc_log_coeffs(np.arange(N - 1), L, m), xy)[:3]
 
 
 def f_truncated(x: float, p: SeriesParams) -> SignedLogValue:
@@ -120,7 +119,8 @@ def f_truncated(x: float, p: SeriesParams) -> SignedLogValue:
     """
     if not math.isfinite(x) or abs(x) > 1.0:
         raise DomainError(f"f_truncated requires |x| <= 1, got {x}")
-    return _guard_cancellation(_log_series(_trunc_log_coeffs(p.N, p.L, p.m), [x]),
+    coeffs = _trunc_log_coeffs(np.arange(p.N - 1), p.L, p.m)
+    return _guard_cancellation(_log_series(coeffs, [x]),
                                f"f_truncated(x={x}, N={p.N}, L={p.L}, m={p.m})")
 
 
@@ -153,44 +153,46 @@ def _series_turnover(L: int, m: int, ax: float) -> int:
     return max(1, int(math.ceil(L * r / (1.0 - r))))
 
 
-def _complete(x: float, log_ratio, turnover: int, log_c_turnover: float,
-              tol: float) -> SignedLogValue:
-    """Completed series sum_n c_n x^n from its coefficient ratios.
+def _completion(log_coeffs, x: float, turnover: int, tol: float,
+                what: str) -> SignedLogValue:
+    """Completed series sum_n c_n x^n on _log_series, cut at its tail.
 
-    log_ratio(n) = ln(c_{n+1} / c_n), with c_0 = 1, and log_c_turnover =
-    ln(c_turnover) in closed form.  Terms grow up to the turnover index and
-    decay after it, so they are scaled by the turnover term, and the
-    stopping rule requires both a small relative term and an index beyond
-    the turnover; a turnover at the term-count bound therefore fails early.
+    log_coeffs(n) gives ln c_n at the indices n.  Terms grow up to the
+    turnover index and decay after it, so the cut is the first index past
+    the turnover whose term is below tol times the largest term, and one
+    term at the term-count bound decides whether the cut lies within it.
+    Past the turnover the term ratio r falls, so the dropped tail is at
+    most its first term over (1 - r); that bound joins the noise floor,
+    where it can flag a result but never zero it.
     """
-    if turnover >= _MAX_TERMS:
+    if turnover >= _MAX_TERMS - 1:
         raise SlowConvergenceError(
             f"turnover index {turnover} reaches the term-count bound")
     lx = math.log(abs(x))
-    scale = log_c_turnover + turnover * lx
-    acc = NeumaierSum()
-    n = 0
-    log_term = 0.0
+    log_term = lambda n: log_coeffs(n) + n * lx
+    cut = log_term(np.arange(turnover + 1)).max() + math.log(tol)
+    if log_term(np.array([_MAX_TERMS - 1]))[0] >= cut:
+        raise SlowConvergenceError("term-count bound exceeded")
+    k = min(2 * turnover + 64, _MAX_TERMS)
     while True:
-        t = math.exp(log_term - scale)
-        if x < 0 and n % 2 == 1:
-            t = -t
-        acc.add(t)
-        if n > turnover and abs(t) < tol * abs(acc.total):
+        n = np.arange(turnover + 1, k)
+        past = np.flatnonzero(log_term(n) < cut)
+        if past.size:
             break
-        log_term += log_ratio(n) + lx
-        n += 1
-        if n > _MAX_TERMS:
-            raise SlowConvergenceError("term-count bound exceeded")
-    total = acc.total
-    if total == 0.0:
-        return SignedLogValue(0, -math.inf)
-    return SignedLogValue.from_log(int(math.copysign(1, total)),
-                                   scale + math.log(abs(total)))
+        k = min(2 * k, _MAX_TERMS)
+    last = int(n[past[0]])
+    t1, t2 = log_term(np.array([last + 1, last + 2]))
+    log_tail = t1 - math.log1p(-math.exp(t2 - t1))
+    lm, sg, fl, fl_sum = _log_series(log_coeffs(np.arange(last + 1)), [x])
+    return _guard_cancellation((lm, sg, np.logaddexp(fl, log_tail), fl_sum), what)
 
 
 def f_infinite(x: float, L: int, m: int, tol: float = 1e-14) -> SignedLogValue:
-    """The completed series; converges absolutely for |x| < 1."""
+    """The completed series; converges absolutely for |x| < 1.
+
+    Raises PrecisionLossError, like f_truncated, when alternating
+    cancellation at negative x leaves less than six reliable digits.
+    """
     if not math.isfinite(x) or abs(x) >= 1.0:
         raise DomainError(f"f_infinite requires |x| < 1, got {x}")
     if abs(x) > 1.0 - 1e-6:
@@ -198,10 +200,9 @@ def f_infinite(x: float, L: int, m: int, tol: float = 1e-14) -> SignedLogValue:
             f"|x| = {abs(x)} is within 1e-6 of the unit circle")
     if x == 0.0:
         return SignedLogValue.from_real(1.0)
-    turnover = _series_turnover(L, m, abs(x))
-    return _complete(x, lambda n: m * (math.log(L + n + 1) - math.log(n + 1)),
-                     turnover, m * float(log_binomial(L + turnover, turnover)),
-                     tol)
+    return _completion(lambda n: _trunc_log_coeffs(n, L, m), x,
+                       _series_turnover(L, m, abs(x)), tol,
+                       f"f_infinite(x={x}, L={L}, m={m})")
 
 
 def f_inf_asymptotic(x: float, L: int, m: int) -> SignedLogValue:
@@ -231,6 +232,8 @@ def f_decomposition_residual(x: float, p: SeriesParams, omega: float) -> float:
     The truncated sum is compared against (series restricted by an
     indicator window) + (tail term x^{N-1}/(x - alpha^m) * e_{N,m});
     the window ((alpha-omega)^m, (alpha+omega)^m) itself is excluded.
+    At negative x either series may raise PrecisionLossError when
+    alternating cancellation swamps it.
     """
     if not (0.0 < omega < p.alpha):
         raise DomainError(f"omega must lie in (0, alpha), got {omega}")
@@ -259,13 +262,14 @@ def f_decomposition_residual(x: float, p: SeriesParams, omega: float) -> float:
     return math.exp(resid.log_mag - ft.log_mag)
 
 
-def _gin_log_coeffs(N: int, m: int) -> np.ndarray:
-    return -m * gammaln(np.arange(N - 1) + 1.0)
+def _gin_log_coeffs(n: np.ndarray, m: int) -> np.ndarray:
+    """ln 1/(n!)^m at the term indices n."""
+    return -m * gammaln(n + 1.0)
 
 
 def f_gin_log_array(ts, N: int, m: int):
     """Vectorized log-space Ginibre truncated sum sum t^n/(n!)^m."""
-    return _log_series(_gin_log_coeffs(N, m), ts)[:3]
+    return _log_series(_gin_log_coeffs(np.arange(N - 1), m), ts)[:3]
 
 
 def f_gin_truncated(t: float, N: int, m: int) -> SignedLogValue:
@@ -274,16 +278,20 @@ def f_gin_truncated(t: float, N: int, m: int) -> SignedLogValue:
         raise DomainError("f_gin_truncated requires finite t")
     if N < 2:
         raise DomainError("N must be >= 2")
-    return _guard_cancellation(_log_series(_gin_log_coeffs(N, m), [t]),
+    return _guard_cancellation(_log_series(_gin_log_coeffs(np.arange(N - 1), m), [t]),
                                f"f_gin_truncated(t={t}, N={N}, m={m})")
 
 
 def f_gin_infinite(t: float, m: int, tol: float = 1e-15) -> SignedLogValue:
-    """Entire-series completion of the Ginibre sum; equals e^t at m = 1."""
+    """Entire-series completion of the Ginibre sum; equals e^t at m = 1.
+
+    Raises PrecisionLossError at negative t once cancellation leaves less
+    than six reliable digits.
+    """
     if not math.isfinite(t):
         raise DomainError("f_gin_infinite requires finite t")
     if t == 0.0:
         return SignedLogValue.from_real(1.0)
-    turnover = max(1, int(math.ceil(abs(t) ** (1.0 / m))))
-    return _complete(t, lambda n: -m * math.log(n + 1.0), turnover,
-                     -m * math.lgamma(turnover + 1.0), tol)
+    return _completion(lambda n: _gin_log_coeffs(n, m), t,
+                       max(1, int(math.ceil(abs(t) ** (1.0 / m)))), tol,
+                       f"f_gin_infinite(t={t}, m={m})")

@@ -60,10 +60,6 @@ class SignedLogValue:
     __float__ = to_real
 
     @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    @property
     def is_infinite(self) -> bool:
         return self.sign != 0 and math.isinf(self.log_mag) and self.log_mag > 0
 
@@ -81,9 +77,6 @@ class SignedLogValue:
 
     def __neg__(self) -> "SignedLogValue":
         return SignedLogValue(-self.sign, self.log_mag)
-
-    def __abs__(self) -> "SignedLogValue":
-        return SignedLogValue(abs(self.sign), self.log_mag)
 
     def __add__(self, other: "SignedLogValue") -> "SignedLogValue":
         if self.sign == 0:
@@ -108,7 +101,3 @@ class SignedLogValue:
             return self
         sign = self.sign if k % 2 else abs(self.sign)
         return SignedLogValue(sign, k * self.log_mag)
-
-    def scaled(self, factor: float) -> "SignedLogValue":
-        """Multiply by a plain float without leaving log space."""
-        return self * SignedLogValue.from_real(factor)

@@ -29,7 +29,6 @@ from .gammafns import (log_beta, log_binomial, log_gamma,
                        log_gamma_complex_array, real_log_gamma_array,
                        trigamma_array)
 from .quadrature import GK_NODES, GK_WEIGHTS_G, GK_WEIGHTS_K, QuadratureSpec
-from .summation import NeumaierSum
 
 _DEFAULT_REL_TOL = 1e-11
 
@@ -342,17 +341,6 @@ def _sum_terms(table: GjTable, N: int) -> np.ndarray:
             * np.where(js % 2 == 1, -1.0, 1.0))
 
 
-def _paired_total(terms: np.ndarray) -> float:
-    acc = NeumaierSum()
-    npair = (len(terms) // 2) * 2
-    # adjacent even+odd pairs cancel to O(1/j); sum the small differences
-    for v in terms[:npair].reshape(-1, 2).sum(axis=1):
-        acc.add(float(v))
-    for v in terms[npair:]:
-        acc.add(float(v))
-    return acc.total
-
-
 def expected_real_sum(N: int, L: int, m: int,
                       spec: QuadratureSpec | None = None,
                       table: GjTable | None = None, threads: int = 1,
@@ -360,7 +348,7 @@ def expected_real_sum(N: int, L: int, m: int,
                       return_err: bool = False):
     """Expected number of real eigenvalues via the alternating coefficient sum.
 
-    Terms are summed in adjacent even/odd pairs with Neumaier compensation.
+    math.fsum rounds the exact sum of the alternating terms once.
     Odd N receives the simulation-verified +1 parity term (the kernel
     formulas count only the paired spectrum); see exactdensity module notes.
     """
@@ -371,7 +359,7 @@ def expected_real_sum(N: int, L: int, m: int,
         table = GjTable(L, m, rel_tol)
     table.ensure(N - 2, threads=threads)
     terms = _sum_terms(table, N)
-    total = _paired_total(terms)
+    total = math.fsum(terms)
     if parity_correction and N % 2 == 1:
         total += 1.0
     if return_err:

@@ -185,9 +185,10 @@ class WeightTable:
         out = self._spline(np.clip(xi, lo, hi))
         if self.kind == "truncated":
             upper = xi > hi
-            if upper.any():
-                # (1 - xi^2)^(mL/2 - 1) shape continuation toward xi = 1
-                e = self.m * self.L / 2.0 - 1.0
+            # (1 - xi^2)^(mL/2 - 1) shape continuation toward xi = 1; flat
+            # (the clipped spline value) up to xi = 1 when the exponent is zero
+            e = self.m * self.L / 2.0 - 1.0
+            if e != 0.0 and upper.any():
                 with np.errstate(divide="ignore"):
                     out = np.where(
                         upper,
@@ -213,9 +214,9 @@ class WeightTable:
                                + (self.m - 1) * (np.log(-lx) - math.log(-llo)),
                                out)
         if self.kind == "truncated":
-            out = np.where(xi >= 1.0,
-                           -np.inf if self.m * self.L > 2 else self._at_hi,
-                           out)
+            # the weight vanishes past xi = 1, and at it unless mL = 2
+            out = np.where(xi > 1.0 if self.m * self.L == 2 else xi >= 1.0,
+                           -np.inf, out)
         return np.where(x == 0.0, np.inf, out)
 
 

@@ -220,14 +220,6 @@ def test_density_curve_build_and_serialization(tmp_path):
     assert [float(s) for s in payload["x"]] == list(curve.abscissae)
 
 
-def test_density_curve_threading_deterministic():
-    ens = EnsembleSpec(6, 2, 1)
-    xs = np.linspace(0.05, 0.9, 9)
-    a = build_density_curve(ens, xs, FAST, threads=1)
-    b = build_density_curve(ens, xs, FAST, threads=4)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_density_curve_normalized_mass_invariant():
     ens = EnsembleSpec(8, 2, 1)
     xs = np.linspace(-0.999, 0.999, 401)
@@ -285,6 +277,3 @@ def test_density_curve_matches_pointwise_density():
     xs = np.linspace(-0.95, 0.95, 16)
     curve = build_density_curve(EnsembleSpec(9, 3, 1), xs, FAST, normalized=False)
     assert curve.values.tolist() == [density_rho(float(x), p, FAST) for x in xs]
-    threaded = build_density_curve(EnsembleSpec(9, 3, 1), xs, FAST,
-                                   normalized=False, threads=3)
-    assert np.array_equal(threaded.values, curve.values)

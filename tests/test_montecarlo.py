@@ -1,5 +1,7 @@
 import json
 import math
+import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,6 +137,14 @@ def test_estimate_determinism_across_threads():
                                    bins=np.linspace(-1, 1, 11)).to_json()
             for k in (1, 4, 16)]
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_moments_are_exact_integer_moments():
+    counts = 2 * np.random.default_rng(SEED).integers(0, 5, 1001) + 1
+    mean, stderr = montecarlo._moments(counts)
+    assert mean == float(Fraction(int(counts.sum()), counts.size))
+    want = math.sqrt(statistics.variance(counts.tolist()) / counts.size)
+    assert stderr == pytest.approx(want, rel=1e-15)
 
 
 def test_estimate_seed_sensitivity():

@@ -89,6 +89,72 @@ def test_completion_turnover_past_term_bound_fails_before_summing():
         f_gin_infinite(1e9, 1)
     with pytest.raises(SlowConvergenceError):
         f_infinite(1.0 - 2e-6, 100, 1)
+    # turnover 5e5, but the tail needs about 1.8e7 terms: refused from the
+    # term at the bound, without building the tail
+    with pytest.raises(SlowConvergenceError, match="term-count bound exceeded"):
+        f_infinite(1.0 - 2e-6, 1, 1)
+
+
+def _mp_completion(mpmath, term):
+    # 50-digit partial sums of a series whose terms peak and then decay,
+    # stopped once a term past the peak is below 1e-30 of the sum
+    total, n, peak = mpmath.mpf(0), 0, mpmath.mpf(0)
+    while True:
+        t = term(n)
+        total += t
+        peak = max(peak, abs(t))
+        if abs(t) < peak and abs(t) < mpmath.mpf(10) ** -30 * abs(total):
+            return float(total)
+        n += 1
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 0.9, -0.1, -0.2])
+@pytest.mark.parametrize("L,m", [(1, 2), (3, 2), (1, 3), (2, 3)])
+def test_f_infinite_matches_mpmath(x, L, m):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    ref = _mp_completion(
+        mpmath, lambda n: mpmath.binomial(L + n, n) ** m * mpmath.mpf(x) ** n)
+    assert f_infinite(x, L, m).to_real() == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.5, 4.0, 30.0, -0.5, -2.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_f_gin_infinite_matches_mpmath(t, m):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    ref = _mp_completion(
+        mpmath, lambda n: mpmath.mpf(t) ** n / mpmath.factorial(n) ** m)
+    assert f_gin_infinite(t, m).to_real() == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("x,L,m", [(-0.2, 3, 2), (-0.3, 1, 2), (-0.1, 2, 3)])
+def test_loose_tol_completion_keeps_six_digits(x, L, m):
+    # the tail dropped at tol = 1e-10 sits in the noise floor, so a result
+    # either keeps six digits or is flagged
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    ref = _mp_completion(
+        mpmath, lambda n: mpmath.binomial(L + n, n) ** m * mpmath.mpf(x) ** n)
+    assert f_infinite(x, L, m, tol=1e-10).to_real() == pytest.approx(ref, rel=1e-6)
+    # true value 0.021 against a peak term of 1.8e4: a 1e-10 cut of the
+    # peak leaves about 1e-4 of the result
+    with pytest.raises(PrecisionLossError):
+        f_infinite(-0.9, 5, 1, tol=1e-10)
+
+
+def test_cancelled_completions_never_return_a_wrong_value():
+    # true values 5.2e-4, 6.0e-8 and 1.9e-22 sit below the cancellation
+    # floor: each call flags the loss or returns zero within it
+    for call in (lambda: f_infinite(-0.99, 10, 1), lambda: f_infinite(-0.5, 40, 1),
+                 lambda: f_gin_infinite(-50.0, 1)):
+        try:
+            assert call().sign == 0
+        except PrecisionLossError:
+            pass
+    # true value 8.6e-4 with a floor of the same size
+    with pytest.raises(PrecisionLossError):
+        f_infinite(-0.9, 10, 1)
 
 
 def test_f_inf_asymptotic_m1_exact():

@@ -444,3 +444,19 @@ def test_weight_table_needs_four_finite_increasing_nodes():
     for g, v in bad:
         with pytest.raises(DomainError):
             weights.WeightTable(L=2, m=2, grid=g, log_values=v)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("L,m", [(1, 2), (2, 2)])
+def test_log_weight_beyond_the_edge_is_warning_free(L, m):
+    # at mL = 2 the edge exponent mL/2 - 1 is zero: the weight stays flat
+    # up to |x| = 1 and vanishes beyond it
+    table = weight_table(L, m)
+    lw = table.log_weight(np.linspace(-1.2, 1.2, 11))
+    assert not np.isnan(lw).any()
+    edge = table.log_weight(np.array([1.0, 1.2]))
+    assert edge[1] == -np.inf
+    if m * L == 2:
+        assert np.isfinite(edge[0])
+    else:
+        assert edge[0] == -np.inf
