@@ -14,7 +14,7 @@ Three mutually cross-validating routes to the same observables:
 from .errors import (DomainError, NonConvergentError, PrecisionLossError,
                      SchurNoConvergenceError, SlowConvergenceError)
 from .signedlog import SignedLogValue
-from .quadrature import QuadratureResult, QuadratureSpec, Rule, integrate
+from .quadrature import QuadratureSpec, Rule
 from .contour import contour_line_integral
 from .gammafns import log_beta, log_binomial, log_gamma, log_gamma_complex
 from .weights import (WeightTable, ginibre_weight, ginibre_weight_asymptotic,

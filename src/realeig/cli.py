@@ -24,7 +24,7 @@ from .exactdensity import (asympt_expected, build_density_curve,
 from .gammafns import log_beta
 from .montecarlo import (EnsembleKind, EnsembleSpec, estimate_expected_real,
                          histogram_csv_lines)
-from .quadrature import QuadratureSpec, Rule
+from .quadrature import QuadratureSpec
 from .reports import ComparisonReport
 from .series import SeriesParams
 from .verify import available_checks, run_verify
@@ -130,8 +130,7 @@ def build_parser():
 
 def _quad_spec(args, default_rel=3e-9):
     rel = args.rel_tol if args.rel_tol is not None else default_rel
-    return QuadratureSpec(rel_tol=rel, abs_tol=args.abs_tol,
-                          rule=Rule.TANH_SINH)
+    return QuadratureSpec(rel_tol=rel, abs_tol=args.abs_tol)
 
 
 def _weight_table(args, spec, ginibre):
@@ -146,14 +145,17 @@ def _weight_table(args, spec, ginibre):
 
 def _gj_table(args, L, j_max):
     """The disk-cached g_j table for (L, --m), extended to j_max and saved
-    back; --rel-tol, when given, is its tolerance."""
+    back when that added coefficients; --rel-tol, when given, is its
+    tolerance."""
     table = GjTable(L, args.m) if args.rel_tol is None else GjTable(L, args.m, args.rel_tol)
     cdir = cache.resolve_cache_dir(args.cache_dir)
     cached = cache.load_gj_table(cdir, L, args.m, table.rel_tol)
     if cached is not None:
         table = cached
+    size = len(table)
     table.ensure(j_max, threads=args.threads)
-    cache.save_gj_table(cdir, table)
+    if len(table) > size:
+        cache.save_gj_table(cdir, table)
     return table
 
 
@@ -161,6 +163,16 @@ def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for this command")
+
+
+def _ensemble(args):
+    """The --ensemble kind and L (0 when --L is not given), requiring --N,
+    and --L for the truncated ensemble."""
+    kind = EnsembleKind(args.ensemble)
+    _require(args, "N")
+    if kind is EnsembleKind.TRUNCATED_ORTHOGONAL:
+        _require(args, "L")
+    return kind, args.L if args.L is not None else 0
 
 
 def _config_dict(args):
@@ -179,11 +191,8 @@ def cmd_expected(args) -> int:
     bad = set(methods) - {"quadrature", "sum", "montecarlo", "asymptotic"}
     if bad:
         raise UsageError(f"unknown methods: {sorted(bad)}")
-    ginibre = args.ensemble == "real-ginibre"
-    _require(args, "N")
-    if not ginibre:
-        _require(args, "L")
-    L = args.L if args.L is not None else 0
+    kind, L = _ensemble(args)
+    ginibre = kind is EnsembleKind.REAL_GINIBRE
     t0 = time.time()
     spec = _quad_spec(args)
     report = ComparisonReport(rows=[], config=_config_dict(args), seed=args.seed)
@@ -206,8 +215,6 @@ def cmd_expected(args) -> int:
                 args.N, L, args.m, table=_gj_table(args, L, args.N - 2),
                 threads=args.threads, return_err=True)
         elif method == "montecarlo":
-            kind = (EnsembleKind.REAL_GINIBRE if ginibre
-                    else EnsembleKind.TRUNCATED_ORTHOGONAL)
             est = estimate_expected_real(EnsembleSpec(args.N, L, args.m, kind),
                                          args.trials, args.seed, args.threads)
             values[method] = est.mean
@@ -250,13 +257,10 @@ def cmd_expected(args) -> int:
 
 
 def cmd_density(args) -> int:
-    _require(args, "N")
-    ginibre = args.ensemble == "real-ginibre"
-    if not ginibre:
-        _require(args, "L")
+    kind, L = _ensemble(args)
+    ginibre = kind is EnsembleKind.REAL_GINIBRE
     if args.grid < 16:
         raise UsageError("--grid must be at least 16")
-    L = args.L if args.L is not None else 0
     m = args.m
     spec = _quad_spec(args, default_rel=1e-7)
     t0 = time.time()
@@ -272,11 +276,9 @@ def cmd_density(args) -> int:
         if args.N % 2 == 1:
             raise UsageError("the exact Ginibre route requires even N")
         cdf = lambda x: gin_limiting_density_cdf(x, m)
-        kind = EnsembleKind.REAL_GINIBRE
     else:
         alpha_t = 1.0 / (1.0 + L / args.N)
         cdf = lambda x: limiting_density_cdf(x, m, alpha_t)
-        kind = EnsembleKind.TRUNCATED_ORTHOGONAL
     ensemble = EnsembleSpec(args.N, L, m, kind)
     exact = build_density_curve(ensemble, mids, spec, normalized=True,
                                 table=_weight_table(args, spec, ginibre)).values
@@ -380,16 +382,10 @@ def cmd_alm(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _require(args, "N")
-    ginibre = args.ensemble == "real-ginibre"
-    if not ginibre:
-        _require(args, "L")
-    L = args.L if args.L is not None else 0
-    kind = (EnsembleKind.REAL_GINIBRE if ginibre
-            else EnsembleKind.TRUNCATED_ORTHOGONAL)
+    kind, L = _ensemble(args)
     bins = None
     if args.bins:
-        lim = 1.0 if not ginibre else 1.5
+        lim = 1.5 if kind is EnsembleKind.REAL_GINIBRE else 1.0
         bins = np.linspace(-lim, lim, args.bins + 1)
     est = estimate_expected_real(EnsembleSpec(args.N, L, args.m, kind),
                                  args.trials, args.seed, args.threads, bins=bins)

@@ -30,7 +30,7 @@ def contour_line_integral(f, re_line: float, spec: QuadratureSpec) -> complex:
     panel_spec = QuadratureSpec(rel_tol=spec.rel_tol * 0.5,
                                 abs_tol=spec.abs_tol,
                                 max_depth=spec.max_depth + 12)
-    value, err, _ = gauss_kronrod_adaptive(g, -1.0, 1.0, panel_spec, check_nan=False)
+    value, err, _ = gauss_kronrod_adaptive(g, -1.0, 1.0, panel_spec)
     t_edge = 1.0
     quiet = 0
     while t_edge < 2 ** 26:
@@ -38,10 +38,8 @@ def contour_line_integral(f, re_line: float, spec: QuadratureSpec) -> complex:
         tail_spec = QuadratureSpec(rel_tol=0.1,
                                    abs_tol=max(scale * spec.rel_tol * 0.02, 5e-324),
                                    max_depth=spec.max_depth + 14)
-        hi, ehi, _ = gauss_kronrod_adaptive(g, t_edge, 2 * t_edge, tail_spec,
-                                            check_nan=False)
-        lo, elo, _ = gauss_kronrod_adaptive(g, -2 * t_edge, -t_edge, tail_spec,
-                                            check_nan=False)
+        hi, ehi, _ = gauss_kronrod_adaptive(g, t_edge, 2 * t_edge, tail_spec)
+        lo, elo, _ = gauss_kronrod_adaptive(g, -2 * t_edge, -t_edge, tail_spec)
         value = value + hi + lo
         err += ehi + elo
         # one quiet panel can be an oscillation zero; require two in a row

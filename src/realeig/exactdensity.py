@@ -27,12 +27,11 @@ from .errors import DomainError, PrecisionLossError
 from .montecarlo import EnsembleKind, EnsembleSpec
 # tanh_sinh_adaptive is not called here; it stays a module global because
 # perfbench's tracer wraps the names this module holds
-from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive, tanh_sinh_batch  # noqa: F401
+from .quadrature import QuadratureSpec, tanh_sinh_adaptive, tanh_sinh_batch  # noqa: F401
 from .series import SeriesParams, f_gin_log_array, f_truncated_log_array
 from .weights import _log_base_array, weight_table
 
-_DEFAULT_SPEC = QuadratureSpec(rel_tol=3e-9, abs_tol=0.0, max_depth=16,
-                               rule=Rule.TANH_SINH)
+_DEFAULT_SPEC = QuadratureSpec(rel_tol=3e-9, abs_tol=0.0, max_depth=16)
 _MAX_EXACT_SIZE = 256
 # Byte budget of one series evaluation's term matrix: flat quadrature nodes
 # are evaluated in chunks so the (N-1) x points matrices stay this small.
@@ -109,23 +108,25 @@ def _piecewise(f, points, spec) -> tuple[np.ndarray, np.ndarray]:
     return total, err
 
 
-def _density(ax, log_w, log_series, n_terms: int, points, spec,
+def _density(x1, x2, log_w, log_series, n_terms: int, points, spec,
              log_pref: float = 0.0) -> np.ndarray:
-    """Kernel densities int |ax - y| w(ax) w(y) f(ax y) dy, times e^log_pref,
-    at every entry of the array ax.
+    """Kernel entries int (x1 - y) sgn(x2 - y) w(|x1|) w(|y|) f(x1 y) dy,
+    times e^log_pref, at every entry of the arrays x1 and x2; x1 = x2 = |x|
+    gives the one-point density at x.
 
     log_w is the vectorized ln w, log_series the (log|f|, sign, floor)
     series evaluator with n_terms terms, and points[i] the sorted panel
-    edges in y for ax[i].  A value within its own quadrature error is zero:
-    its sign is noise, the policy series._guard_cancellation applies to
-    sums below their roundoff floor.
+    edges in y for entry i.  A value within its own quadrature error is
+    zero: its sign is noise, the policy series._guard_cancellation applies
+    to sums below their roundoff floor.
     """
-    lwx = log_w(ax)
+    lwx = log_w(np.abs(x1))
 
     def part(y, row):
-        axr = ax[row]
-        lf, sf, _ = log_series(axr * y)
-        return np.abs(axr - y) * sf * np.exp(lwx[row] + log_w(np.abs(y)) + lf + log_pref)
+        x1r = x1[row]
+        lf, sf, _ = log_series(x1r * y)
+        return ((x1r - y) * np.sign(x2[row] - y) * sf
+                * np.exp(lwx[row] + log_w(np.abs(y)) + lf + log_pref))
 
     total, err = _piecewise(lambda y, row: _chunked(part, y, row, n_terms), points, spec)
     return np.where(np.abs(total) <= err, 0.0, total)
@@ -139,7 +140,7 @@ def _mass(rho, edges, spec) -> tuple[float, float]:
     each value is computed at 0.3 times the outer relative tolerance.
     """
     inner = QuadratureSpec(rel_tol=spec.rel_tol * 0.3, abs_tol=0.0,
-                           max_depth=spec.max_depth, rule=Rule.TANH_SINH)
+                           max_depth=spec.max_depth)
     total, err = _piecewise(lambda xs, _: rho(xs, inner), [edges], spec)
     return 2.0 * float(total[0]), 2.0 * float(err[0])
 
@@ -182,17 +183,11 @@ def kernel_S(x1: float, x2: float, p: SeriesParams,
             raise DomainError(f"arguments must lie in (-1, 1), got {v}")
     if p.m > 1 and x1 == 0.0:
         raise DomainError("x1 = 0 is singular for m > 1")
-    logw = _log_weight_fn("truncated", p.L, p.m, spec, table)
-    lwx = float(logw(np.array([abs(x1)]))[0])
-
-    def part(y, row):
-        lf, sf, _ = f_truncated_log_array(x1 * y, p.N, p.L, p.m)
-        val = (x1 - y) * np.sign(x2 - y) * sf
-        return val * np.exp(lwx + logw(np.abs(y)) + lf)
-
-    pts = _edges([-1.0, 0.0, float(x2), 1.0], _transition_points(x1, p))
-    total, _ = _piecewise(lambda y, row: _chunked(part, y, row, p.N - 1), pts, spec)
-    return float(total[0])
+    return float(_density(np.array([float(x1)]), np.array([float(x2)]),
+                          _log_weight_fn("truncated", p.L, p.m, spec, table),
+                          lambda z: f_truncated_log_array(z, p.N, p.L, p.m), p.N - 1,
+                          _edges([-1.0, 0.0, float(x2), 1.0], _transition_points(x1, p)),
+                          spec)[0])
 
 
 def _rho(xs, p: SeriesParams, spec, table) -> np.ndarray:
@@ -205,7 +200,7 @@ def _rho(xs, p: SeriesParams, spec, table) -> np.ndarray:
     if p.m > 1 and (xs == 0.0).any():
         raise DomainError("x = 0 is singular for m > 1")
     ax = np.abs(xs)
-    return _density(ax, _log_weight_fn("truncated", p.L, p.m, spec, table),
+    return _density(ax, ax, _log_weight_fn("truncated", p.L, p.m, spec, table),
                     lambda z: f_truncated_log_array(z, p.N, p.L, p.m), p.N - 1,
                     _edges([-1.0, 0.0, ax, 1.0], _transition_points(ax, p)), spec)
 
@@ -232,16 +227,15 @@ def density_mass(p: SeriesParams, spec: QuadratureSpec | None = None,
 
 
 def expected_real_quadrature(p: SeriesParams, spec: QuadratureSpec | None = None,
-                             table=None, parity_correction: bool = True,
-                             return_err: bool = False):
+                             table=None, return_err: bool = False):
     """Expected number of real eigenvalues via the density integral.
 
-    With parity_correction (default), odd N receives the simulation-verified
-    +1 for the unpaired real eigenvalue; see the module docstring.  With
-    return_err, returns (value, quadrature error estimate).
+    Odd N receives the simulation-verified +1 for the unpaired real
+    eigenvalue; see the module docstring.  With return_err, returns (value,
+    quadrature error estimate).
     """
     total, err = density_mass(p, spec, table, return_err=True)
-    if parity_correction and p.N % 2 == 1:
+    if p.N % 2 == 1:
         total += 1.0
     return (total, err) if return_err else total
 
@@ -324,7 +318,7 @@ def _gin_rho(ts, N: int, m: int, spec, table) -> np.ndarray:
         raise DomainError("t = 0 is singular for m > 1")
     at = np.abs(ts)
     T = _gin_cutoff(N, m)
-    return _density(at, _log_weight_fn("ginibre", 1, m, spec, table),
+    return _density(at, at, _log_weight_fn("ginibre", 1, m, spec, table),
                     lambda z: f_gin_log_array(z, N, m), N - 1,
                     _edges([-T, 0.0, np.minimum(at, T), T]), spec,
                     -m * math.log(2.0 * math.sqrt(2.0 * math.pi)))

@@ -1,10 +1,11 @@
 """Adaptive quadrature engines.
 
-Two rules behind one interface: adaptive Gauss-Kronrod (G7/K15) for smooth
-integrands and tanh-sinh for algebraic endpoint singularities.  Integrands
-must be vectorized: they receive a float ndarray and return an ndarray of
-the same shape.  The one tanh-sinh engine, tanh_sinh_batch, integrates a
-batch of rows at once, and its integrand also receives each node's row.
+Every spec-driven integral runs tanh-sinh, which handles algebraic endpoint
+singularities: the one engine, tanh_sinh_batch, integrates a batch of rows
+at once, and its integrand also receives each node's row.  Adaptive
+Gauss-Kronrod (G7/K15) is the contour's primitive for smooth, possibly
+complex, integrands.  Integrands must be vectorized: they receive a float
+ndarray and return an ndarray of the same shape.
 
 Double-precision note: with a plain f(x) calling convention, tanh-sinh
 cannot place nodes closer to an endpoint than ~1e-16, so inverse-square-root
@@ -26,7 +27,6 @@ _MIN_REL_TOL = 2.0 ** -50
 
 
 class Rule(enum.Enum):
-    GAUSS_KRONROD = "gauss-kronrod"
     TANH_SINH = "tanh-sinh"
 
 
@@ -35,7 +35,7 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 0.0
     max_depth: int = 16
-    rule: Rule = Rule.GAUSS_KRONROD
+    rule: Rule = Rule.TANH_SINH
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0) or self.rel_tol < _MIN_REL_TOL:
@@ -45,16 +45,6 @@ class QuadratureSpec:
             raise DomainError("abs_tol must be >= 0")
         if self.max_depth < 1:
             raise DomainError("max_depth must be a positive integer")
-
-    def with_rule(self, rule: Rule) -> "QuadratureSpec":
-        return QuadratureSpec(self.rel_tol, self.abs_tol, self.max_depth, rule)
-
-
-@dataclass
-class QuadratureResult:
-    value: float
-    err_est: float
-    evaluations: int
 
 
 # G7/K15 nodes and weights on [-1, 1].
@@ -76,26 +66,23 @@ GK_WEIGHTS_G = np.array([
     0.129484966168870])
 
 
-def _gk_eval(f, a, b, check_nan=True):
+def _gk_eval(f, a, b):
     """Evaluate K15 and |K15-G7| on a batch of intervals (a, b are arrays)."""
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
     xs = mid + half * GK_NODES[None, :]
     fx = np.asarray(f(xs.ravel())).reshape(xs.shape)
-    if check_nan and np.isnan(fx).any():
-        raise DomainError("integrand returned NaN")
     ik = (fx * GK_WEIGHTS_K[None, :]).sum(axis=1) * half[:, 0]
     ig = (fx[:, 1::2] * GK_WEIGHTS_G[None, :]).sum(axis=1) * half[:, 0]
     return ik, np.abs(ik - ig)
 
 
-def gauss_kronrod_adaptive(f, a: float, b: float, spec: QuadratureSpec,
-                           check_nan: bool = True):
-    """Globally adaptive G7/K15 bisection; works for real or complex f."""
+def gauss_kronrod_adaptive(f, a: float, b: float, spec: QuadratureSpec):
+    """Globally adaptive G7/K15 bisection for real or complex f; a NaN stalls."""
     a_arr = np.array([a], dtype=float)
     b_arr = np.array([b], dtype=float)
     depth = np.array([0])
-    vals, errs = _gk_eval(f, a_arr, b_arr, check_nan)
+    vals, errs = _gk_eval(f, a_arr, b_arr)
     evals = 15
     while True:
         total = vals.sum()
@@ -112,7 +99,7 @@ def gauss_kronrod_adaptive(f, a: float, b: float, spec: QuadratureSpec,
         mm = 0.5 * (aa + bb)
         na = np.concatenate([aa, mm])
         nb = np.concatenate([mm, bb])
-        nv, ne = _gk_eval(f, na, nb, check_nan)
+        nv, ne = _gk_eval(f, na, nb)
         evals += 15 * len(na)
         a_arr = np.concatenate([a_arr[~bad], na])
         b_arr = np.concatenate([b_arr[~bad], nb])
@@ -127,6 +114,8 @@ _TS_T_CAP = math.asinh(math.atanh(1.0 - 1e-15) / _PI_HALF)
 # Nodes per integrand call in tanh_sinh_batch (whole rows; a row larger
 # than this comes alone), which bounds the per-level working arrays.
 _BLOCK_NODES = 1 << 12
+# Deepest tanh-sinh level (step 2^-12); a spec's max_depth can only lower it.
+_MAX_LEVEL = 12
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,21 +189,23 @@ def _ts_rows(f, xl, wl, rows, a, b, c, d):
     return sums, counts, tails
 
 
-def tanh_sinh_batch(f, a, b, abs_tol, spec: QuadratureSpec, max_level: int = 12):
+def tanh_sinh_batch(f, a, b, abs_tol, spec: QuadratureSpec):
     """Tanh-sinh with level doubling over a batch of rows; endpoints are
     never evaluated.
 
-    Row i integrates over (a[i], b[i]) to max(abs_tol[i], rel_tol |value|).
+    Row i integrates over (a[i], b[i]) to max(abs_tol[i], rel_tol |value|),
+    through level min(_MAX_LEVEL, spec.max_depth).
     f(x, row) receives flat float nodes, row by row in summation order,
     with each node's row index, and returns the integrand values as a float
     array; a level's running rows come in blocks of about _BLOCK_NODES
     nodes.  A row stops at its own level and leaves the batch, so each
     row's value, error and evaluation count are those of the row
     integrated alone.  Returns (value, err_est, evals) arrays.  Rows that
-    miss their tolerance at the last level raise one NonConvergentError:
-    its value and err_est are the first such row's (in row order), its
-    values and err_ests the whole batch's, and failed_rows lists every such
-    row, so a caller can judge each without running it again.
+    miss their tolerance at the last level, by the error estimate of their
+    last live level, raise one NonConvergentError: its value and err_est
+    are the first such row's (in row order), its values and err_ests the
+    whole batch's, and failed_rows lists every such row, so a caller can
+    judge each without running it again.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -227,11 +218,11 @@ def tanh_sinh_batch(f, a, b, abs_tol, spec: QuadratureSpec, max_level: int = 12)
     abs_tol = np.broadcast_to(np.asarray(abs_tol, dtype=float), a.shape)
     c = 0.5 * (a + b)
     d = 0.5 * (b - a)
-    raw_sum, cur, prev, prev2, tail = (np.zeros(n) for _ in range(5))
+    raw_sum, cur, prev, prev2, tail, last_err = (np.zeros(n) for _ in range(6))
     has_prev = np.zeros(n, dtype=bool)
     used = np.zeros(n, dtype=np.int64)
     h = 1.0
-    for level in range(min(max_level, spec.max_depth) + 1):
+    for level in range(min(_MAX_LEVEL, spec.max_depth) + 1):
         if not rows.size:
             break
         xl, wl = _ts_level(level)
@@ -249,6 +240,7 @@ def tanh_sinh_batch(f, a, b, abs_tol, spec: QuadratureSpec, max_level: int = 12)
         cur = np.where(live, dh * raw_sum, cur)
         diff = _pymax(np.abs(cur - prev), 0.1 * np.abs(prev - prev2))
         err = diff + dh * tail
+        last_err = np.where(live, err, last_err)
         done = live & has_prev & (err <= _pymax(abs_tol, spec.rel_tol * np.abs(cur)))
         going = live & ~done
         # a row's first value goes to prev2 as well, so 0.1 |prev - prev2|
@@ -261,44 +253,25 @@ def tanh_sinh_batch(f, a, b, abs_tol, spec: QuadratureSpec, max_level: int = 12)
             out = rows[done]
             value[out], err_est[out], evals[out] = cur[done], err[done], used[done]
             keep = ~done
-            (rows, a, b, c, d, abs_tol, raw_sum, cur, prev, prev2, tail, has_prev,
-             used) = (v[keep] for v in (rows, a, b, c, d, abs_tol, raw_sum, cur, prev,
-                                        prev2, tail, has_prev, used))
+            (rows, a, b, c, d, abs_tol, raw_sum, cur, prev, prev2, tail, last_err,
+             has_prev, used) = (v[keep] for v in (rows, a, b, c, d, abs_tol, raw_sum,
+                                                  cur, prev, prev2, tail, last_err,
+                                                  has_prev, used))
     if rows.size:
-        err = (np.where(has_prev, np.abs(cur - prev), np.abs(cur))
-               + d * h * 2 * tail)
         tol = _pymax(abs_tol, spec.rel_tol * np.abs(cur))
-        value[rows], err_est[rows], evals[rows] = cur, err, used
-        bad = np.flatnonzero(err > tol)
+        value[rows], err_est[rows], evals[rows] = cur, last_err, used
+        bad = np.flatnonzero(last_err > tol)
         if bad.size:
             i = bad[0]
             raise NonConvergentError(
-                f"tanh-sinh stalled at err={err[i]:.3e} > tol={tol[i]:.3e}",
-                value=float(cur[i]), err_est=float(err[i]),
+                f"tanh-sinh stalled at err={last_err[i]:.3e} > tol={tol[i]:.3e}",
+                value=float(cur[i]), err_est=float(last_err[i]),
                 values=value, err_ests=err_est, failed_rows=rows[bad])
     return value, err_est, evals
 
 
-def tanh_sinh_adaptive(f, a: float, b: float, spec: QuadratureSpec,
-                       max_level: int = 12):
+def tanh_sinh_adaptive(f, a: float, b: float, spec: QuadratureSpec):
     """Tanh-sinh of a vectorized f(x) over (a, b): a batch of one row."""
     value, err, evals = tanh_sinh_batch(lambda x, _: np.asarray(f(x), dtype=float),
-                                        [a], [b], spec.abs_tol, spec, max_level)
+                                        [a], [b], spec.abs_tol, spec)
     return float(value[0]), float(err[0]), int(evals[0])
-
-
-def integrate(f, a: float, b: float, spec: QuadratureSpec) -> QuadratureResult:
-    """Integrate a vectorized real integrand over the finite interval (a, b).
-
-    Endpoint algebraic singularities are only supported with the tanh-sinh
-    rule.  Raises NonConvergentError when the tolerance cannot be met within
-    max_depth, and DomainError if the integrand produces NaN.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
-        raise DomainError(f"need finite a < b, got a={a}, b={b}")
-    if spec.rule is Rule.TANH_SINH:
-        value, err, evals = tanh_sinh_adaptive(f, a, b, spec)
-    else:
-        value, err, evals = gauss_kronrod_adaptive(f, a, b, spec)
-        value = float(value)
-    return QuadratureResult(value=float(value), err_est=float(err), evaluations=evals)

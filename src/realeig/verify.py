@@ -15,7 +15,7 @@ import numpy as np
 from .exactdensity import density_rho
 from .montecarlo import (EnsembleSpec, estimate_expected_real,
                          sample_haar_orthogonal, trial_rng)
-from .quadrature import QuadratureSpec, Rule
+from .quadrature import QuadratureSpec
 from .series import SeriesParams
 from .weakregime import a_lm_closed, a_lm_mc, g_j_contour, g_j_mc
 from .weights import DEFAULT_SPEC, _mass_check, weight_table
@@ -91,7 +91,7 @@ def _check_evenness(seed, threads):
     worst = 0.0
     for p, spec, xs in (
             (SeriesParams(6, 2, 1), None, (0.15, 0.4, 0.75)),
-            (SeriesParams(8, 2, 2), QuadratureSpec(rel_tol=1e-8, rule=Rule.TANH_SINH),
+            (SeriesParams(8, 2, 2), QuadratureSpec(rel_tol=1e-8),
              (0.2, 0.45, 0.7))):
         for x in xs:
             a = density_rho(x, p, spec)

@@ -28,7 +28,7 @@ from .errors import DomainError, NonConvergentError
 from .gammafns import (log_beta, log_binomial, log_gamma,
                        log_gamma_complex_array, real_log_gamma_array,
                        trigamma_array)
-from .quadrature import GK_NODES, GK_WEIGHTS_G, GK_WEIGHTS_K, QuadratureSpec
+from .quadrature import GK_NODES, GK_WEIGHTS_G, GK_WEIGHTS_K
 
 _DEFAULT_REL_TOL = 1e-11
 
@@ -204,12 +204,10 @@ def _g_values(js, L, m, rel_tol=_DEFAULT_REL_TOL, chunk=2048, threads=1):
     return sign, logg, rel
 
 
-def g_j_contour(j: int, L: int, m: int,
-                spec: QuadratureSpec | None = None) -> GjValue:
+def g_j_contour(j: int, L: int, m: int, rel_tol: float = _DEFAULT_REL_TOL) -> GjValue:
     """Contour evaluation of a single coefficient."""
     if j < 0:
         raise DomainError("j must be non-negative")
-    rel_tol = spec.rel_tol if spec is not None else _DEFAULT_REL_TOL
     sign, logg, rel = _g_values(np.array([j]), L, m, rel_tol)
     if sign[0] <= 0:
         raise NonConvergentError(
@@ -341,26 +339,24 @@ def _sum_terms(table: GjTable, N: int) -> np.ndarray:
             * np.where(js % 2 == 1, -1.0, 1.0))
 
 
-def expected_real_sum(N: int, L: int, m: int,
-                      spec: QuadratureSpec | None = None,
+def expected_real_sum(N: int, L: int, m: int, rel_tol: float = _DEFAULT_REL_TOL,
                       table: GjTable | None = None, threads: int = 1,
-                      parity_correction: bool = True,
                       return_err: bool = False):
     """Expected number of real eigenvalues via the alternating coefficient sum.
 
     math.fsum rounds the exact sum of the alternating terms once.
     Odd N receives the simulation-verified +1 parity term (the kernel
     formulas count only the paired spectrum); see exactdensity module notes.
+    rel_tol is the coefficient tolerance of a table built here.
     """
     if N < 2:
         raise DomainError("N must be >= 2")
-    rel_tol = spec.rel_tol if spec is not None else _DEFAULT_REL_TOL
     if table is None:
         table = GjTable(L, m, rel_tol)
     table.ensure(N - 2, threads=threads)
     terms = _sum_terms(table, N)
     total = math.fsum(terms)
-    if parity_correction and N % 2 == 1:
+    if N % 2 == 1:
         total += 1.0
     if return_err:
         err = float((np.abs(terms) * table.rel_err[:N - 1]).sum())

@@ -25,14 +25,14 @@ import numpy as np
 from . import cache
 from .errors import DomainError, NonConvergentError
 from .gammafns import log_beta, log_gamma_complex_array
-from .quadrature import QuadratureSpec, Rule, tanh_sinh_adaptive, tanh_sinh_batch
+from .quadrature import QuadratureSpec, tanh_sinh_adaptive, tanh_sinh_batch
 from .contour import contour_line_integral
 from .signedlog import SignedLogValue
 
 DEFAULT_GRID_SIZE = 512
 _MAX_GRID_SIZE = 4096
 _GIN_XI_MAX = 12.0  # Ginibre tables cover t in (0, 12^m); Gaussian tail beyond
-DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9, rule=Rule.TANH_SINH)
+DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9)
 
 _log = logging.getLogger(__name__)
 
@@ -312,7 +312,7 @@ def _mass_check(table: WeightTable, spec: QuadratureSpec) -> float:
         return np.exp(table.log_weight(x) - target + math.log(2.0))
 
     v, e, _ = tanh_sinh_adaptive(f, 0.0, hi, QuadratureSpec(
-        rel_tol=1e-9, abs_tol=0.0, max_depth=spec.max_depth, rule=Rule.TANH_SINH))
+        rel_tol=1e-9, abs_tol=0.0, max_depth=spec.max_depth))
     return abs(v - 1.0)
 
 
@@ -419,19 +419,20 @@ def mellin_weight_crosscheck(L: int, m: int, points, spec: QuadratureSpec | None
 
     The Mellin transform of w_m restricted to (0, 1) is
     (1/2) * (c^(1/2) B(s/2, L/2))^m with c = L / (2 B(L/2, 1/2)); inverting
-    it on a vertical line must reproduce the table.  Returns the maximum
-    relative deviation over the probe points.  Requires m*L >= 4 so the
-    line integral converges comfortably.  contour_line_integral integrates
-    in Im s directly, so the x^{-s} oscillation stays resolvable.
+    it on a vertical line must reproduce the table (by default
+    weight_table(L, m)).  Returns the maximum relative deviation over the
+    probe points.  Requires m*L >= 4 so the line integral converges
+    comfortably; spec is its tolerance.  contour_line_integral integrates in
+    Im s directly, so the x^{-s} oscillation stays resolvable.
     """
     _check_L(L)
     _check_m(m)
     if m * L < 4:
         raise DomainError("Mellin cross-check needs m*L >= 4 for line-decay")
+    if table is None:
+        table = weight_table(L, m)
     # verification path: the oscillatory tail makes 1e-6 the practical ask
     spec = spec or QuadratureSpec(rel_tol=1e-6)
-    if table is None:
-        table = weight_table(L, m, spec)
     log_c_half = log_base_prefactor(L)
 
     worst = 0.0

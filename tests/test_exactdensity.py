@@ -58,9 +58,10 @@ def test_kernel_against_midpoint_oracle():
 
 
 def test_density_is_kernel_diagonal():
-    p = SeriesParams(6, 2, 1)
-    assert density_rho(0.35, p, FAST) == pytest.approx(
-        kernel_S(0.35, 0.35, p, FAST), rel=1e-9)
+    # one evaluator: at x > 0 the diagonal is the density bit for bit
+    for p in (SeriesParams(6, 2, 1), SeriesParams(6, 1, 2)):
+        for x in (0.05, 0.35, 0.9):
+            assert kernel_S(x, x, p, FAST) == density_rho(x, p, FAST)
 
 
 def test_density_evenness():

@@ -121,6 +121,31 @@ def test_cli_weak_report(tmp_path):
     assert code == 0
 
 
+def test_cli_warm_weak_run_leaves_gj_cache_file_alone(tmp_path):
+    argv = ["weak", "--L", "2", "--m", "1", "--N-list", "32,64",
+            "--out", str(tmp_path / "w.csv"), "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    path, = tmp_path.glob("gj_*.npz")
+    data, before = path.read_bytes(), path.stat()
+    assert main(argv) == 0
+    after = path.stat()
+    assert path.read_bytes() == data
+    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+    # a sweep that needs more coefficients extends the file
+    assert main(argv[:6] + ["32,128"] + argv[7:]) == 0
+    assert len(path.read_bytes()) > len(data)
+
+
+@pytest.mark.parametrize("command", ["expected", "density", "sample"])
+def test_cli_ensemble_options_are_required(capsys, command):
+    assert main([command]) == 4
+    assert "--N is required for this command" in capsys.readouterr().err
+    assert main([command, "--N", "4"]) == 4
+    assert "--L is required for this command" in capsys.readouterr().err
+    assert main([command, "--N", "4", "--ensemble", "real-ginibre", "--m", "0"]) == 4
+    assert "domain error" in capsys.readouterr().err
+
+
 def test_cli_density_files(tmp_path):
     out = tmp_path / "d.csv"
     code = main(["density", "--N", "6", "--L", "2", "--m", "1",
@@ -248,7 +273,7 @@ def test_cli_expected_reports_computed_quadrature_error(tmp_path, ensemble, N, L
 
 
 def test_cli_expected_sum_uses_gj_cache_and_rel_tol(tmp_path, monkeypatch):
-    from realeig import QuadratureSpec, cache, expected_real_sum
+    from realeig import cache, expected_real_sum
 
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "default"))
     out = tmp_path / "e.csv"
@@ -274,6 +299,6 @@ def test_cli_expected_sum_uses_gj_cache_and_rel_tol(tmp_path, monkeypatch):
     # --rel-tol is the table tolerance, and --cache-dir the table's home
     tight = tmp_path / "tight"
     assert main(argv + ["--rel-tol", "1e-8", "--cache-dir", str(tight)]) == 0
-    want = expected_real_sum(12, 2, 1, QuadratureSpec(rel_tol=1e-8), return_err=True)
+    want = expected_real_sum(12, 2, 1, rel_tol=1e-8, return_err=True)
     assert rows()[0][2:] == want
     assert real_load(tight, 2, 1, 1e-8).rel_tol == 1e-8
