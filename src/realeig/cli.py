@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 tolerance violation, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -75,7 +76,10 @@ def _add_options(p, names):
         p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
+@functools.cache
 def build_parser():
+    """The realeig parser, built once per process; parse_args keeps no state
+    in it, so every call starts from the defaults."""
     parser = _Parser(prog="realeig",
                      description="Real-eigenvalue statistics of random matrix "
                                  "products: simulation, exact formulas, and "
@@ -320,21 +324,28 @@ def cmd_weak(args) -> int:
     table = _gj_table(args, args.L, max(Ns) - 2)
     report = ComparisonReport(rows=[], config=_config_dict(args), seed=args.seed)
     values = {}
+    errs = {}
     for N in Ns:
-        values[N] = expected_real_sum(N, args.L, args.m, table=table)
-        report.add(f"expected_real_count[N={N}]", "sum", values[N])
+        values[N], errs[N] = expected_real_sum(N, args.L, args.m, table=table,
+                                               return_err=True)
+        report.add(f"expected_real_count[N={N}]", "sum", values[N], errs[N])
         report.add(f"log_law[N={N}]", "asymptotic",
                    weak_asymptotic(N, args.L, args.m))
     for a, b in zip(Ns[:-1], Ns[1:]):
-        report.add(f"increment[{a}->{b}]", "sum", values[b] - values[a])
+        report.add(f"increment[{a}->{b}]", "sum", values[b] - values[a],
+                   errs[a] + errs[b])
     top = Ns[len(Ns) // 2:]
     if len(top) < 2:
         top = Ns
     lx = np.log(top)
+    dx = lx - lx.mean()
     ly = np.array([values[N] for N in top])
-    slope = float(((lx - lx.mean()) * (ly - ly.mean())).sum()
-                  / ((lx - lx.mean()) ** 2).sum())
-    report.add("fitted_slope_top_half", "sum", slope)
+    slope = float((dx * (ly - ly.mean())).sum() / (dx ** 2).sum())
+    # the slope is sum_i w_i E(N_i) with w_i = dx_i / sum dx^2, so its
+    # error is sum_i |w_i| err_i
+    slope_err = float((np.abs(dx) * np.array([errs[N] for N in top])).sum()
+                      / (dx ** 2).sum())
+    report.add("fitted_slope_top_half", "sum", slope, slope_err)
     report.add("slope_target", "asymptotic",
                1.0 / math.exp(log_beta(args.m * args.L / 2.0, 0.5)))
     report.wall_time_s = time.time() - t0

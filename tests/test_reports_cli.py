@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from realeig import montecarlo
+from realeig import expected_real_sum, montecarlo
 from realeig.cli import main
 from realeig.errors import DomainError
 from realeig.reports import ComparisonReport, ReportRow
@@ -107,14 +107,35 @@ def test_cli_bad_arguments_exit():
 
 def test_cli_weak_report(tmp_path):
     out = tmp_path / "w.csv"
-    code = main(["weak", "--L", "2", "--m", "1", "--N-list", "32,64,128,256",
-                 "--out", str(out), "--cache-dir", str(tmp_path)])
+    argv = ["weak", "--L", "2", "--m", "1", "--N-list", "32,64,128,256",
+            "--out", str(out), "--cache-dir", str(tmp_path)]
+    assert main(argv + ["--rel-tol", "1e-8"]) == 0
+    assert ComparisonReport.from_csv_text(out.read_text()).config["rel_tol"] == 1e-8
+    # the parser is built once per process; no option leaks into the next call
+    code = main(argv)
     assert code == 0
-    rep = ComparisonReport.from_csv_text(out.read_text())
+    text = out.read_text()
+    assert '"rel_tol": null' in text.splitlines()[0]
+    rep = ComparisonReport.from_csv_text(text)
     slope = [r for r in rep.rows if r.quantity == "fitted_slope_top_half"]
     assert len(slope) == 1
     # desk-scale sweep already lands near the 1/B(1, 1/2) coefficient
     assert slope[0].value == pytest.approx(0.5, rel=0.05)
+    # every error is computed: each count carries the sum route's own
+    # estimate, each increment the sum of its two, and the slope its
+    # least-squares propagation
+    errs = {}
+    for N in (32, 64, 128, 256):
+        row, = [r for r in rep.rows if r.quantity == f"expected_real_count[N={N}]"]
+        errs[N] = row.err_est
+        assert row.err_est > 0.0
+        assert row.err_est == expected_real_sum(N, 2, 1, return_err=True)[1]
+    for a, b in ((32, 64), (64, 128), (128, 256)):
+        row, = [r for r in rep.rows if r.quantity == f"increment[{a}->{b}]"]
+        assert row.err_est == errs[a] + errs[b]
+    # two points ln 2 apart: the least-squares weights are -+1/ln 2
+    assert slope[0].err_est == pytest.approx((errs[128] + errs[256]) / math.log(2.0),
+                                             rel=1e-12)
     # reuses the on-disk coefficient cache on the second run
     code = main(["weak", "--L", "2", "--m", "1", "--N-list", "32,64",
                  "--out", str(out), "--cache-dir", str(tmp_path)])

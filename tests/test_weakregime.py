@@ -204,13 +204,58 @@ def test_half_line_rule_matches_full_line_reference(L, m, density):
     assert np.max(np.abs(rel - ref_rel)) <= 1e-12
 
 
-@pytest.mark.parametrize("L,m", [(1, 1), (3, 2)])
-def test_g_values_do_not_depend_on_blocks_or_threads(L, m):
+@pytest.mark.parametrize("L,m", [(1, 1), (3, 2), (2, 1)])
+def test_g_values_do_not_depend_on_blocks_or_threads(monkeypatch, L, m):
     js = np.arange(700)
     ref = weakregime._g_values(js, L, m)
-    got = weakregime._g_values(js, L, m, chunk=96, threads=3)
-    for a, b in zip(ref, got):
-        assert np.array_equal(a, b)
+    runs = [weakregime._g_values(js, L, m, chunk=96, threads=3)]
+    # node blocks that cut indices apart, down to one pair at a time (on
+    # the first 120 indices only: a pair per call is slow)
+    for block, n in ((97, 700), (1, 120)):
+        monkeypatch.setattr(weakregime, "_BLOCK_PAIRS", block)
+        runs.append(weakregime._g_values(js[:n], L, m))
+    for got in runs:
+        for a, b in zip(ref, got):
+            assert np.array_equal(a[:len(b)], b)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_even_L_gamma_ratio_matches_mpmath(L):
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.array([0.0, 1.0, 1e3, 1e8, 1e13])
+    with mpmath.workdps(30):
+        for j in (0, 1, 37, 510):
+            # the saddle line and lines next to either pole fence
+            saddle = weakregime._saddle_points(np.array([float(j)]), L, 1)[0]
+            right = min(math.ceil(j / 2), j + 1)
+            for sg in (-0.5 + 1e-3, saddle, right - 1e-3):
+                got = weakregime._log_gamma_ratio(sg + 1j * ts, j, L)
+                for t, g in zip(ts, got):
+                    z = mpmath.mpc(sg, t)
+                    want = (mpmath.loggamma(0.5 + z) + mpmath.loggamma(j + 1 - z)
+                            - mpmath.loggamma(mpmath.mpf(L + 1) / 2 + z)
+                            - mpmath.loggamma(mpmath.mpf(L) / 2 + 1 + j - z))
+                    assert abs(g.real - want.real) <= 1e-13, (j, sg, t, g, want)
+                    assert abs(g.imag - want.imag) <= 1e-13, (j, sg, t, g, want)
+                # the real-axis path of the saddle search and of s0
+                real = weakregime._log_gamma_ratio(np.array([sg]), j, L)[0]
+                assert abs(real - got[0].real) <= 1e-13
+
+
+def test_even_L_contour_calls_no_log_gamma(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("log-gamma called")
+
+    monkeypatch.setattr(weakregime, "log_gamma_complex_array", refuse)
+    monkeypatch.setattr(weakregime, "real_log_gamma_array", refuse)
+    for L, m in ((2, 1), (4, 2)):
+        sign, logg, rel = weakregime._g_values(np.arange(64), L, m)
+        assert np.all(sign == 1.0) and np.all(np.isfinite(logg))
+    # odd L, and even L past the product limit, look the kernels up by name
+    # at call time
+    for L in (3, weakregime._PRODUCT_MAX_L + 2):
+        with pytest.raises(AssertionError, match="log-gamma called"):
+            weakregime._g_values(np.arange(4), L, 1)
 
 
 def test_weak_asymptotic_coefficients():
