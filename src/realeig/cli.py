@@ -29,8 +29,9 @@ from .quadrature import QuadratureSpec
 from .reports import ComparisonReport
 from .series import SeriesParams
 from .verify import available_checks, run_verify
-from .weakregime import (GjTable, a_lm_closed, a_lm_mc, expected_real_sum,
-                         g_j_contour, g_j_mc, g_j_sym, weak_asymptotic)
+from .weakregime import (GjTable, _sum_terms, a_lm_closed, a_lm_mc,
+                         expected_real_sum, g_j_contour, g_j_mc, g_j_sym,
+                         weak_asymptotic)
 from .weights import weight_table
 
 EXIT_OK = 0
@@ -324,16 +325,26 @@ def cmd_weak(args) -> int:
     table = _gj_table(args, args.L, max(Ns) - 2)
     report = ComparisonReport(rows=[], config=_config_dict(args), seed=args.seed)
     values = {}
-    errs = {}
     for N in Ns:
-        values[N], errs[N] = expected_real_sum(N, args.L, args.m, table=table,
-                                               return_err=True)
-        report.add(f"expected_real_count[N={N}]", "sum", values[N], errs[N])
+        values[N], err = expected_real_sum(N, args.L, args.m, table=table,
+                                           return_err=True)
+        report.add(f"expected_real_count[N={N}]", "sum", values[N], err)
         report.add(f"log_law[N={N}]", "asymptotic",
                    weak_asymptotic(N, args.L, args.m))
+    # increments and the slope are sums w_i E(N_i) over one table: term j
+    # enters with weight sum_{i: j < N_i - 1} w_i, so the terms the counts
+    # share carry their error once, cancelled by that weight
+    term_err = np.abs(_sum_terms(table, Ns[-1])) * table.rel_err[:Ns[-1] - 1]
+
+    def combined_err(weighted):
+        w = np.zeros(len(term_err))
+        for N, wi in weighted:
+            w[:N - 1] += wi
+        return float((np.abs(w) * term_err).sum())
+
     for a, b in zip(Ns[:-1], Ns[1:]):
         report.add(f"increment[{a}->{b}]", "sum", values[b] - values[a],
-                   errs[a] + errs[b])
+                   combined_err([(a, -1.0), (b, 1.0)]))
     top = Ns[len(Ns) // 2:]
     if len(top) < 2:
         top = Ns
@@ -341,10 +352,8 @@ def cmd_weak(args) -> int:
     dx = lx - lx.mean()
     ly = np.array([values[N] for N in top])
     slope = float((dx * (ly - ly.mean())).sum() / (dx ** 2).sum())
-    # the slope is sum_i w_i E(N_i) with w_i = dx_i / sum dx^2, so its
-    # error is sum_i |w_i| err_i
-    slope_err = float((np.abs(dx) * np.array([errs[N] for N in top])).sum()
-                      / (dx ** 2).sum())
+    # the slope is sum_i w_i E(N_i) with w_i = dx_i / sum dx^2
+    slope_err = combined_err(zip(top, dx / (dx ** 2).sum()))
     report.add("fitted_slope_top_half", "sum", slope, slope_err)
     report.add("slope_target", "asymptotic",
                1.0 / math.exp(log_beta(args.m * args.L / 2.0, 0.5)))

@@ -114,8 +114,8 @@ def _density(x1, x2, log_w, log_series, n_terms: int, points, spec,
     times e^log_pref, at every entry of the arrays x1 and x2; x1 = x2 = |x|
     gives the one-point density at x.
 
-    log_w is the vectorized ln w, log_series the (log|f|, sign, floor)
-    series evaluator with n_terms terms, and points[i] the sorted panel
+    log_w is the vectorized ln w, log_series the (log|f|, sign) series
+    evaluator with n_terms terms, and points[i] the sorted panel
     edges in y for entry i.  A value within its own quadrature error is
     zero: its sign is noise, the policy series._guard_cancellation applies
     to sums below their roundoff floor.
@@ -124,7 +124,7 @@ def _density(x1, x2, log_w, log_series, n_terms: int, points, spec,
 
     def part(y, row):
         x1r = x1[row]
-        lf, sf, _ = log_series(x1r * y)
+        lf, sf = log_series(x1r * y)
         return ((x1r - y) * np.sign(x2[row] - y) * sf
                 * np.exp(lwx[row] + log_w(np.abs(y)) + lf + log_pref))
 

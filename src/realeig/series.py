@@ -4,9 +4,11 @@ The central objects are the truncated sum
     f_trunc(x) = sum_{n=0}^{N-2} C(L+n, n)^m x^n,
 its infinite-series completion, the Ginibre analogues with 1/(n!)^m
 coefficients, and asymptotic/decomposition approximations used to study
-them.  Terms are built in log space and accumulated in (rescaled) linear
-space with Neumaier compensation; cancellation in alternating sums is
-tracked and flagged once it can contaminate the result.
+them.  Terms are built in log space and summed in (rescaled) linear space
+by one compensated scan (running sums with TwoSum errors, added in term
+order).  The vectorized sums return (log|f|, sign) alone; the scalar
+entry points also compute the noise floors, and their cancellation guard
+flags alternating cancellation once it can contaminate the result.
 """
 from __future__ import annotations
 
@@ -55,47 +57,91 @@ class SeriesParams:
         return 1.0 / (1.0 + self.gamma)
 
 
-def _log_series(log_coeffs: np.ndarray, z):
-    """Vectorized sum_n exp(log_coeffs[n]) z^n in log space.
+def _terms(log_coeffs: np.ndarray, z):
+    """The (terms x points) matrix of exp(log_coeffs[n]) z^n / exp(M), and M.
 
-    Returns (log|f|, sign, log_floor, log_sum_floor).  log_floor bounds the
-    noise of each entry (columns with heavy alternating cancellation have
-    log_floor close to log|f|).  It adds two parts: the summation roundoff
-    log_sum_floor, and the rounding of the log coefficients, which is
-    relative to their size and so perturbs term n by about
-    eps*(1+|log_coeffs[n]|).
+    M is each column's largest ln|term|, so every entry lies in [-1, 1];
+    odd rows take the sign of z.
     """
     z = np.asarray(z, dtype=float)
     n = np.arange(len(log_coeffs))
     with np.errstate(divide="ignore"):
         lz = np.where(z == 0.0, _LOG_TINY, np.log(np.maximum(np.abs(z), 1e-300)))
-    # the only (terms x points) matrix, updated in place from ln|t_n| to
-    # |t_n| / max_n |t_n|
-    mag = n[:, None] * lz[None, :]
-    mag += log_coeffs[:, None]
-    M = mag.max(axis=0)
-    mag -= M[None, :]
-    np.exp(mag, out=mag)
-    coeff_noise = (_EPS * (1.0 + np.abs(log_coeffs))) @ mag
-    neg = z < 0
-    # Neumaier accumulation down the term axis; odd terms take the sign of
-    # z, and abs_s carries |s| from one row to the next
-    s = np.zeros(z.shape)
-    abs_s = np.zeros(z.shape)
-    comp = np.zeros(z.shape)
-    maxpartial = np.zeros(z.shape)
-    for k, abs_t in enumerate(mag):
-        t = np.where(neg, -abs_t, abs_t) if k % 2 else abs_t
-        tot = s + t
-        comp += np.where(abs_s >= abs_t, (s - tot) + t, (t - tot) + s)
-        s = tot
-        abs_s = np.abs(s)
-        np.maximum(maxpartial, abs_s, out=maxpartial)
-    vals = s + comp
+    # one (terms x points) matrix, updated in place from ln|t_n| to
+    # t_n / max_n |t_n|
+    t = n[:, None] * lz[None, :]
+    t += log_coeffs[:, None]
+    M = t.max(axis=0)
+    t -= M[None, :]
+    np.exp(t, out=t)
+    odd = t[1::2]
+    np.negative(odd, out=odd, where=z < 0)
+    return t, M
+
+
+def _scan(t: np.ndarray) -> np.ndarray:
+    """Compensated sum down the term axis of t, one value per column.
+
+    Running sums s_k = fl(s_{k-1} + t_k) are taken in term order; TwoSum
+    (Knuth) gives each step's exact rounding error branch-free, and the
+    errors are added in the same order before joining s.  With more terms
+    than points the scan runs along the term axis in whole-matrix passes
+    (np.add.accumulate is sequential); otherwise a loop over term rows
+    updates preallocated point buffers in place.  Both forms do the same
+    floating-point operations in the same order.
+    """
+    rows, cols = t.shape
+    if rows > max(cols, 1):
+        s = np.add.accumulate(t, axis=0)
+        prev, tot = s[:-1], s[1:]
+        bp = tot - prev
+        ap = tot - bp
+        np.subtract(prev, ap, out=ap)
+        np.subtract(t[1:], bp, out=bp)
+        ap += bp
+        return s[-1] + np.add.accumulate(ap, axis=0, out=ap)[-1]
+    s = t[0].copy()
+    comp = np.zeros(cols)
+    tot, bp, ap = np.empty(cols), np.empty(cols), np.empty(cols)
+    for tk in t[1:]:
+        np.add(s, tk, out=tot)
+        np.subtract(tot, s, out=bp)
+        np.subtract(tot, bp, out=ap)
+        np.subtract(s, ap, out=ap)
+        np.subtract(tk, bp, out=bp)
+        np.add(ap, bp, out=ap)
+        np.add(comp, ap, out=comp)
+        s, tot = tot, s
+    return s + comp
+
+
+def _log_series(log_coeffs: np.ndarray, z):
+    """Vectorized sum_n exp(log_coeffs[n]) z^n in log space, with its floors.
+
+    Returns (log|f|, sign, log_floor, log_sum_floor).  log_floor bounds the
+    noise of each entry (columns with heavy alternating cancellation have
+    log_floor close to log|f|).  It adds two parts: the summation roundoff
+    log_sum_floor, set by the largest running sum, and the rounding of the
+    log coefficients, which is relative to their size and so perturbs term
+    n by about eps*(1+|log_coeffs[n]|).
+    """
+    t, M = _terms(log_coeffs, z)
+    coeff_noise = (_EPS * (1.0 + np.abs(log_coeffs))) @ np.abs(t)
+    vals = _scan(t)
+    # the scan's running sums again, in the same order, in place
+    maxpartial = np.abs(np.add.accumulate(t, axis=0, out=t), out=t).max(axis=0)
     sum_noise = maxpartial * (_EPS * math.sqrt(max(len(log_coeffs), 1)))
     with np.errstate(divide="ignore"):
         return (M + np.log(np.abs(vals)), np.sign(vals),
                 M + np.log(sum_noise + coeff_noise), M + np.log(sum_noise))
+
+
+def _log_sum(log_coeffs: np.ndarray, z):
+    """(log|f|, sign) of sum_n exp(log_coeffs[n]) z^n; no floors."""
+    t, M = _terms(log_coeffs, z)
+    vals = _scan(t)
+    with np.errstate(divide="ignore"):
+        return M + np.log(np.abs(vals)), np.sign(vals)
 
 
 def _trunc_log_coeffs(n: np.ndarray, L: int, m: int) -> np.ndarray:
@@ -106,9 +152,9 @@ def _trunc_log_coeffs(n: np.ndarray, L: int, m: int) -> np.ndarray:
 def f_truncated_log_array(xy, N: int, L: int, m: int):
     """Vectorized truncated sum of C(L+n, n)^m xy^n over n < N-1, in log space.
 
-    Returns (log|f|, sign, log_floor); see _log_series.
+    Returns (log|f|, sign); the floors are the scalar guard's.
     """
-    return _log_series(_trunc_log_coeffs(np.arange(N - 1), L, m), xy)[:3]
+    return _log_sum(_trunc_log_coeffs(np.arange(N - 1), L, m), xy)
 
 
 def f_truncated(x: float, p: SeriesParams) -> SignedLogValue:
@@ -268,8 +314,11 @@ def _gin_log_coeffs(n: np.ndarray, m: int) -> np.ndarray:
 
 
 def f_gin_log_array(ts, N: int, m: int):
-    """Vectorized log-space Ginibre truncated sum sum t^n/(n!)^m."""
-    return _log_series(_gin_log_coeffs(np.arange(N - 1), m), ts)[:3]
+    """Vectorized log-space Ginibre truncated sum sum t^n/(n!)^m.
+
+    Returns (log|f|, sign), like f_truncated_log_array.
+    """
+    return _log_sum(_gin_log_coeffs(np.arange(N - 1), m), ts)
 
 
 def f_gin_truncated(t: float, N: int, m: int) -> SignedLogValue:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from realeig import (EnsembleSpec, QuadratureSpec, Rule,
+from realeig import (EnsembleKind, EnsembleSpec, QuadratureSpec, Rule,
                      SeriesParams, asympt_expected, build_density_curve,
                      density_rho, expected_real_quadrature, expected_real_sum,
                      gin_asympt_expected, gin_expected_real_quadrature,
@@ -26,7 +26,7 @@ def midpoint_oracle_S(x1, x2, p, n=2000):
     total = 0.0
     for a, b in ((-1.0, x2), (x2, 1.0)):
         ys = a + (b - a) * (np.arange(n) + 0.5) / n
-        lf, sf, _ = f_truncated_log_array(x1 * ys, p.N, p.L, p.m)
+        lf, sf = f_truncated_log_array(x1 * ys, p.N, p.L, p.m)
         vals = (x1 - ys) * np.sign(x2 - ys) * sf * np.exp(
             _log_base_array(np.array([x1]), p.L)[0]
             + _log_base_array(ys, p.L) + lf)
@@ -278,3 +278,28 @@ def test_density_curve_matches_pointwise_density():
     xs = np.linspace(-0.95, 0.95, 16)
     curve = build_density_curve(EnsembleSpec(9, 3, 1), xs, FAST, normalized=False)
     assert curve.values.tolist() == [density_rho(float(x), p, FAST) for x in xs]
+
+
+@pytest.mark.parametrize("case", [(6, 2, 1), (5, 1, 2), ("ginibre", 6, 1)],
+                         ids=["6-2-1", "5-1-2", "ginibre-6-1"])
+def test_small_series_chunks_change_no_bit(monkeypatch, case):
+    # about a hundred points per series call, and short last chunks that
+    # can run the term-axis form: state kept from one chunk to the next
+    # would show
+    if case[0] == "ginibre":
+        _, N, m = case
+        ens = EnsembleSpec(N, 0, m, EnsembleKind.REAL_GINIBRE)
+        table = None
+        mass = lambda: gin_expected_real_quadrature(N, m, FAST, return_err=True)
+    else:
+        p = SeriesParams(*case)
+        ens = EnsembleSpec(*case)
+        table = weight_table(p.L, p.m, FAST) if p.m > 1 else None
+        mass = lambda: density_mass(p, FAST, table, return_err=True)
+    curve = lambda: build_density_curve(ens, np.linspace(-0.95, 0.95, 24), FAST,
+                                        normalized=False, table=table).values
+    want = mass(), curve()
+    monkeypatch.setattr(exactdensity, "_CHUNK_BYTES", 4096)
+    got = mass(), curve()
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()

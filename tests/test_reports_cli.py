@@ -11,6 +11,7 @@ from realeig.cli import main
 from realeig.errors import DomainError
 from realeig.reports import ComparisonReport, ReportRow
 from realeig.verify import run_verify
+from realeig.weakregime import GjTable, _sum_terms
 from conftest import SEED
 
 
@@ -122,20 +123,26 @@ def test_cli_weak_report(tmp_path):
     # desk-scale sweep already lands near the 1/B(1, 1/2) coefficient
     assert slope[0].value == pytest.approx(0.5, rel=0.05)
     # every error is computed: each count carries the sum route's own
-    # estimate, each increment the sum of its two, and the slope its
-    # least-squares propagation
+    # estimate; an increment counts only the terms its two sums do not
+    # share, and the slope propagates its least-squares weights per term
     errs = {}
     for N in (32, 64, 128, 256):
         row, = [r for r in rep.rows if r.quantity == f"expected_real_count[N={N}]"]
         errs[N] = row.err_est
         assert row.err_est > 0.0
         assert row.err_est == expected_real_sum(N, 2, 1, return_err=True)[1]
+    table = GjTable(2, 1)
+    table.ensure(254)
+    term_err = np.abs(_sum_terms(table, 256)) * table.rel_err[:255]
+    incs = {}
     for a, b in ((32, 64), (64, 128), (128, 256)):
         row, = [r for r in rep.rows if r.quantity == f"increment[{a}->{b}]"]
-        assert row.err_est == errs[a] + errs[b]
-    # two points ln 2 apart: the least-squares weights are -+1/ln 2
-    assert slope[0].err_est == pytest.approx((errs[128] + errs[256]) / math.log(2.0),
-                                             rel=1e-12)
+        incs[b] = term_err[a - 1:b - 1].sum()
+        assert row.err_est == pytest.approx(incs[b], rel=1e-12)
+        assert row.err_est < errs[a] + errs[b]
+    # two points ln 2 apart: the least-squares weights are -+1/ln 2, and
+    # cancel on the shared terms
+    assert slope[0].err_est == pytest.approx(incs[256] / math.log(2.0), rel=1e-12)
     # reuses the on-disk coefficient cache on the second run
     code = main(["weak", "--L", "2", "--m", "1", "--N-list", "32,64",
                  "--out", str(out), "--cache-dir", str(tmp_path)])

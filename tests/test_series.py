@@ -11,7 +11,9 @@ from realeig import (SeriesParams, e_nm, f_decomposition_residual,
 from realeig.errors import (DomainError, PrecisionLossError,
                             SlowConvergenceError)
 from realeig.gammafns import log_binomial
-from realeig.series import f_gin_log_array, f_truncated_log_array
+from realeig.series import (_EPS, _LOG_TINY, _gin_log_coeffs, _log_series,
+                            _trunc_log_coeffs, f_gin_log_array,
+                            f_truncated_log_array)
 from conftest import SEED, monotone_with_slack
 
 
@@ -303,7 +305,7 @@ GIN_T = [-30.0, -5.0, -0.5, 0.0, 0.5, 5.0, 30.0]
 
 
 def _check_against_oracle(mpmath, got, zs, coeffs):
-    logmag, sign, _ = got
+    logmag, sign = got
     for z, lm, sg in zip(zs, logmag, sign):
         terms = [c * mpmath.mpf(z) ** n for n, c in enumerate(coeffs)]
         ref = mpmath.fsum(terms)
@@ -336,7 +338,8 @@ def test_log_floor_covers_coefficient_rounding():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     N, L, m, z = 200, 200, 1, -0.436
-    logmag, sign, floor = f_truncated_log_array(np.array([z]), N, L, m)
+    logmag, sign, floor, _ = _log_series(_trunc_log_coeffs(np.arange(N - 1), L, m),
+                                         np.array([z]))
     ref = mpmath.fsum(mpmath.binomial(L + n, n) ** m * mpmath.mpf(z) ** n
                       for n in range(N - 1))
     assert abs(sign[0] * mpmath.exp(logmag[0]) - ref) <= mpmath.exp(floor[0])
@@ -351,3 +354,73 @@ def test_array_log_binomial_matches_per_k_loop(N, L, m):
     assert np.array_equal(m * log_binomial(L + n, n), loop)
     with pytest.raises(DomainError):
         log_binomial(np.array([4, 3]), np.array([2, 4]))
+
+
+def _reference_log_series(log_coeffs, z):
+    """The row-by-row Neumaier loop that _log_series replaced, kept as its
+    bit-for-bit reference: Fast2Sum with the larger operand first."""
+    z = np.asarray(z, dtype=float)
+    n = np.arange(len(log_coeffs))
+    with np.errstate(divide="ignore"):
+        lz = np.where(z == 0.0, _LOG_TINY, np.log(np.maximum(np.abs(z), 1e-300)))
+    mag = n[:, None] * lz[None, :]
+    mag += log_coeffs[:, None]
+    M = mag.max(axis=0)
+    mag -= M[None, :]
+    np.exp(mag, out=mag)
+    coeff_noise = (_EPS * (1.0 + np.abs(log_coeffs))) @ mag
+    neg = z < 0
+    s = np.zeros(z.shape)
+    abs_s = np.zeros(z.shape)
+    comp = np.zeros(z.shape)
+    maxpartial = np.zeros(z.shape)
+    for k, abs_t in enumerate(mag):
+        t = np.where(neg, -abs_t, abs_t) if k % 2 else abs_t
+        tot = s + t
+        comp += np.where(abs_s >= abs_t, (s - tot) + t, (t - tot) + s)
+        s = tot
+        abs_s = np.abs(s)
+        np.maximum(maxpartial, abs_s, out=maxpartial)
+    vals = s + comp
+    sum_noise = maxpartial * (_EPS * math.sqrt(max(len(log_coeffs), 1)))
+    with np.errstate(divide="ignore"):
+        return (M + np.log(np.abs(vals)), np.sign(vals),
+                M + np.log(sum_noise + coeff_noise), M + np.log(sum_noise))
+
+
+def _assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+EDGE_Z = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]
+
+
+# (N, points): one term; the row loop (fewer terms than points); and the
+# term-axis passes of the completions (more terms than points)
+@pytest.mark.parametrize("N,points", [(2, 7), (23, 5700), (41, 3300), (10 ** 5 + 1, 1)])
+@pytest.mark.parametrize("kind", ["truncated", "ginibre"])
+def test_log_series_matches_reference_loop(kind, N, points):
+    rng = np.random.default_rng(SEED)
+    n = np.arange(N - 1)
+    if kind == "truncated":
+        z = rng.uniform(-1.0, 1.0, points)
+        coeffs = _trunc_log_coeffs(n, 3, 2)
+        array = lambda zs: f_truncated_log_array(zs, N, 3, 2)
+    else:
+        z = rng.uniform(-30.0, 30.0, points)
+        coeffs = _gin_log_coeffs(n, 1)
+        array = lambda zs: f_gin_log_array(zs, N, 1)
+    if points >= len(EDGE_Z):
+        z[:len(EDGE_Z)] = EDGE_Z
+        columns = [z]
+    else:
+        # the completions' shape, N - 1 terms at one point, at +-z
+        columns = [np.abs(z[:1]), -np.abs(z[:1])]
+    for zs in columns:
+        got = _log_series(coeffs, zs)
+        _assert_bit_equal(got, _reference_log_series(coeffs, zs))
+        _assert_bit_equal(array(zs), got[:2])
