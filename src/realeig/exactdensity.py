@@ -4,9 +4,14 @@ The one-point density of real eigenvalues of the m-factor truncated
 orthogonal product is
     rho_N(x) = int_{-1}^{1} |x - y| w(x) w(y) f_trunc(x y) dy,
 and the expected number of real eigenvalues is its total integral.  The
-product w(x) w(y) f(x y) is assembled as one combined exponent (the three
-factors individually leave double range around N ~ 40) and exponentiated
-only after combining.
+weight is even, so the integral folds onto y >= 0:
+    int_{-1}^{1} g(y) dy = int_0^1 g(y) + g(-y) dy,
+where g(-y) holds f(-x y).  The terms of f(z) and f(-z) differ only in the
+signs of the odd ones, so one series evaluation gives both,
+f(+-x y) = e^M v, e^M v_mirror.  The common factor w(x) w(y) e^M is one
+exponent, ln w(x) + ln w(y) + M (the factors individually leave double
+range around N ~ 40), exponentiated once per node and multiplied into both
+halves.  The Ginibre density has the same form on (-T, T).
 
 Parity note, verified by simulation: the kernel formulas reproduce the
 simulated expected count exactly for even N, while for odd N the simulated
@@ -108,25 +113,29 @@ def _piecewise(f, points, spec) -> tuple[np.ndarray, np.ndarray]:
     return total, err
 
 
-def _density(x1, x2, log_w, log_series, n_terms: int, points, spec,
+def _density(x1, x2, log_w, paired_series, n_terms: int, points, spec,
              log_pref: float = 0.0) -> np.ndarray:
     """Kernel entries int (x1 - y) sgn(x2 - y) w(|x1|) w(|y|) f(x1 y) dy,
     times e^log_pref, at every entry of the arrays x1 and x2; x1 = x2 = |x|
     gives the one-point density at x.
 
-    log_w is the vectorized ln w, log_series the (log|f|, sign) series
-    evaluator with n_terms terms, and points[i] the sorted panel
-    edges in y for entry i.  A value within its own quadrature error is
-    zero: its sign is noise, the policy series._guard_cancellation applies
-    to sums below their roundoff floor.
+    The even weight folds the integral onto y >= 0, with integrand
+        e^(ln w(|x1|) + ln w(y) + log_pref + M)
+          * ((x1 - y) sgn(x2 - y) v + (x1 + y) sgn(x2 + y) v_mirror),
+    where paired_series(z), with n_terms terms, returns (M, v, v_mirror)
+    and f(+-z) = e^M v, e^M v_mirror: one exp per node and no log.
+    points[i] holds the sorted panel edges in y >= 0 for entry i, with the
+    kinks of both halves folded by |.|.  A value within its own quadrature
+    error is zero: its sign is noise, the policy
+    series._guard_cancellation applies to sums below their roundoff floor.
     """
-    lwx = log_w(np.abs(x1))
+    lwx = log_w(np.abs(x1)) + log_pref
 
     def part(y, row):
-        x1r = x1[row]
-        lf, sf = log_series(x1r * y)
-        return ((x1r - y) * np.sign(x2[row] - y) * sf
-                * np.exp(lwx[row] + log_w(np.abs(y)) + lf + log_pref))
+        x1r, x2r = x1[row], x2[row]
+        M, v, v_mirror = paired_series(x1r * y)
+        return np.exp(lwx[row] + log_w(y) + M) * (
+            (x1r - y) * np.sign(x2r - y) * v + (x1r + y) * np.sign(x2r + y) * v_mirror)
 
     total, err = _piecewise(lambda y, row: _chunked(part, y, row, n_terms), points, spec)
     return np.where(np.abs(total) <= err, 0.0, total)
@@ -151,16 +160,15 @@ def _regime_edges(p: SeriesParams) -> list[float]:
 
 
 def _transition_points(x, p: SeriesParams) -> np.ndarray:
-    """y-values where f_trunc(x y) changes asymptotic regime, one row of
-    four per entry of x; entries outside (-1, 1) (all of them at x = 0)
-    are NaN."""
+    """y > 0 where f_trunc(+-x y) changes asymptotic regime (the regime
+    edges folded by |.|), one row of two per entry of x; entries at or past
+    1 (all of them at x = 0) are NaN."""
     ax = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     cols = []
     with np.errstate(divide="ignore"):
         for edge in _regime_edges(p):
-            for sgn in (-1.0, 1.0):
-                y = sgn * edge / ax
-                cols.append(np.where((ax != 0.0) & (-1.0 < y) & (y < 1.0), y, np.nan))
+            y = abs(edge) / ax
+            cols.append(np.where((ax != 0.0) & (y < 1.0), y, np.nan))
     return np.stack(cols, axis=1)
 
 
@@ -186,7 +194,7 @@ def kernel_S(x1: float, x2: float, p: SeriesParams,
     return float(_density(np.array([float(x1)]), np.array([float(x2)]),
                           _log_weight_fn("truncated", p.L, p.m, spec, table),
                           lambda z: f_truncated_log_array(z, p.N, p.L, p.m), p.N - 1,
-                          _edges([-1.0, 0.0, float(x2), 1.0], _transition_points(x1, p)),
+                          _edges([0.0, abs(float(x2)), 1.0], _transition_points(x1, p)),
                           spec)[0])
 
 
@@ -202,7 +210,7 @@ def _rho(xs, p: SeriesParams, spec, table) -> np.ndarray:
     ax = np.abs(xs)
     return _density(ax, ax, _log_weight_fn("truncated", p.L, p.m, spec, table),
                     lambda z: f_truncated_log_array(z, p.N, p.L, p.m), p.N - 1,
-                    _edges([-1.0, 0.0, ax, 1.0], _transition_points(ax, p)), spec)
+                    _edges([0.0, ax, 1.0], _transition_points(ax, p)), spec)
 
 
 def density_rho(x: float, p: SeriesParams, spec: QuadratureSpec | None = None,
@@ -320,7 +328,7 @@ def _gin_rho(ts, N: int, m: int, spec, table) -> np.ndarray:
     T = _gin_cutoff(N, m)
     return _density(at, at, _log_weight_fn("ginibre", 1, m, spec, table),
                     lambda z: f_gin_log_array(z, N, m), N - 1,
-                    _edges([-T, 0.0, np.minimum(at, T), T]), spec,
+                    _edges([0.0, np.minimum(at, T), T]), spec,
                     -m * math.log(2.0 * math.sqrt(2.0 * math.pi)))
 
 

@@ -5,10 +5,15 @@ The central objects are the truncated sum
 its infinite-series completion, the Ginibre analogues with 1/(n!)^m
 coefficients, and asymptotic/decomposition approximations used to study
 them.  Terms are built in log space and summed in (rescaled) linear space
-by one compensated scan (running sums with TwoSum errors, added in term
-order).  The vectorized sums return (log|f|, sign) alone; the scalar
-entry points also compute the noise floors, and their cancellation guard
-flags alternating cancellation once it can contaminate the result.
+by compensated scans (running sums with TwoSum errors).  The scalar entry
+points scan in term order and also compute the noise floors, and their
+cancellation guard flags alternating cancellation once it can contaminate
+the result.  The vectorized sums f_truncated_log_array and f_gin_log_array
+compute no floors and return (M, v, v_mirror) with f(z) = e^M v and
+f(-z) = e^M v_mirror: the terms of f(z) and f(-z) share their magnitudes,
+so one term matrix is scanned as its even rows and its odd rows, and the
+two scans are joined with one TwoSum per sign (Ogita, Rump and Oishi's
+Sum2 bound holds in any term order).
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from .signedlog import SignedLogValue
 PRECISION_LOSS_RATIO = 1e-6
 _LOG_TINY = -745.0  # exp() underflows below this
 _MAX_TERMS = 10 ** 7  # term-count bound of the completed series
+_SEARCH_BLOCK = 1 << 18  # indices per step of a completion's cut search
 _EPS = 2.0 ** -52
 
 
@@ -58,37 +64,35 @@ class SeriesParams:
 
 
 def _terms(log_coeffs: np.ndarray, z):
-    """The (terms x points) matrix of exp(log_coeffs[n]) z^n / exp(M), and M.
+    """The (terms x points) matrix of exp(log_coeffs[n]) |z|^n / exp(M), and M.
 
-    M is each column's largest ln|term|, so every entry lies in [-1, 1];
-    odd rows take the sign of z.
+    M is each column's largest ln|term|, so every entry lies in [0, 1].
     """
     z = np.asarray(z, dtype=float)
     n = np.arange(len(log_coeffs))
     with np.errstate(divide="ignore"):
         lz = np.where(z == 0.0, _LOG_TINY, np.log(np.maximum(np.abs(z), 1e-300)))
     # one (terms x points) matrix, updated in place from ln|t_n| to
-    # t_n / max_n |t_n|
+    # |t_n| / max_n |t_n|
     t = n[:, None] * lz[None, :]
     t += log_coeffs[:, None]
     M = t.max(axis=0)
     t -= M[None, :]
     np.exp(t, out=t)
-    odd = t[1::2]
-    np.negative(odd, out=odd, where=z < 0)
     return t, M
 
 
-def _scan(t: np.ndarray) -> np.ndarray:
-    """Compensated sum down the term axis of t, one value per column.
+def _scan(t: np.ndarray):
+    """Compensated sum down the term axis of t: (running sum, compensation)
+    per column, whose sum s + comp is the compensated value.
 
     Running sums s_k = fl(s_{k-1} + t_k) are taken in term order; TwoSum
     (Knuth) gives each step's exact rounding error branch-free, and the
-    errors are added in the same order before joining s.  With more terms
-    than points the scan runs along the term axis in whole-matrix passes
-    (np.add.accumulate is sequential); otherwise a loop over term rows
-    updates preallocated point buffers in place.  Both forms do the same
-    floating-point operations in the same order.
+    errors are added in the same order.  With more terms than points the
+    scan runs along the term axis in whole-matrix passes (np.add.accumulate
+    is sequential); otherwise a loop over term rows updates preallocated
+    point buffers in place.  Both forms do the same floating-point
+    operations in the same order.
     """
     rows, cols = t.shape
     if rows > max(cols, 1):
@@ -99,7 +103,7 @@ def _scan(t: np.ndarray) -> np.ndarray:
         np.subtract(prev, ap, out=ap)
         np.subtract(t[1:], bp, out=bp)
         ap += bp
-        return s[-1] + np.add.accumulate(ap, axis=0, out=ap)[-1]
+        return s[-1], np.add.accumulate(ap, axis=0, out=ap)[-1]
     s = t[0].copy()
     comp = np.zeros(cols)
     tot, bp, ap = np.empty(cols), np.empty(cols), np.empty(cols)
@@ -112,7 +116,7 @@ def _scan(t: np.ndarray) -> np.ndarray:
         np.add(ap, bp, out=ap)
         np.add(comp, ap, out=comp)
         s, tot = tot, s
-    return s + comp
+    return s, comp
 
 
 def _log_series(log_coeffs: np.ndarray, z):
@@ -126,8 +130,12 @@ def _log_series(log_coeffs: np.ndarray, z):
     n by about eps*(1+|log_coeffs[n]|).
     """
     t, M = _terms(log_coeffs, z)
-    coeff_noise = (_EPS * (1.0 + np.abs(log_coeffs))) @ np.abs(t)
-    vals = _scan(t)
+    coeff_noise = (_EPS * (1.0 + np.abs(log_coeffs))) @ t
+    # odd terms take the sign of z, and the scan runs in term order
+    odd = t[1::2]
+    np.negative(odd, out=odd, where=np.asarray(z) < 0)
+    s, comp = _scan(t)
+    vals = s + comp
     # the scan's running sums again, in the same order, in place
     maxpartial = np.abs(np.add.accumulate(t, axis=0, out=t), out=t).max(axis=0)
     sum_noise = maxpartial * (_EPS * math.sqrt(max(len(log_coeffs), 1)))
@@ -136,12 +144,35 @@ def _log_series(log_coeffs: np.ndarray, z):
                 M + np.log(sum_noise + coeff_noise), M + np.log(sum_noise))
 
 
-def _log_sum(log_coeffs: np.ndarray, z):
-    """(log|f|, sign) of sum_n exp(log_coeffs[n]) z^n; no floors."""
+def _paired_sum(log_coeffs: np.ndarray, z):
+    """(M, v, v_mirror) with sum_n exp(log_coeffs[n]) (+-z)^n = e^M v, e^M v_mirror.
+
+    The even rows and the odd rows of one term matrix are scanned apart
+    (each pair of rows is one contiguous row of twice the points, so one
+    scan does both), the odd scan takes the sign of z, and each sign joins
+    the two with one TwoSum: v = s + ((c_even + c_odd) + e), where
+    s + e = s_even + s_odd exactly.  No floors.
+    """
+    z = np.asarray(z, dtype=float)
+    if len(log_coeffs) % 2:
+        # a zero last row, which adds exact zeros to the even scan
+        log_coeffs = np.append(log_coeffs, -np.inf)
     t, M = _terms(log_coeffs, z)
-    vals = _scan(t)
-    with np.errstate(divide="ignore"):
-        return M + np.log(np.abs(vals)), np.sign(vals)
+    s, comp = _scan(t.reshape(len(t) // 2, 2 * z.size))
+    s_even, s_odd = s.reshape(2, -1)
+    c_even, c_odd = comp.reshape(2, -1)
+    neg = z < 0
+    np.negative(s_odd, out=s_odd, where=neg)
+    np.negative(c_odd, out=c_odd, where=neg)
+    return M, _join(s_even, c_even, s_odd, c_odd), _join(s_even, c_even, -s_odd, -c_odd)
+
+
+def _join(s1, c1, s2, c2):
+    """(s1 + c1) + (s2 + c2) with the TwoSum error of s1 + s2."""
+    s = s1 + s2
+    bp = s - s1
+    e = (s1 - (s - bp)) + (s2 - bp)
+    return s + ((c1 + c2) + e)
 
 
 def _trunc_log_coeffs(n: np.ndarray, L: int, m: int) -> np.ndarray:
@@ -150,11 +181,12 @@ def _trunc_log_coeffs(n: np.ndarray, L: int, m: int) -> np.ndarray:
 
 
 def f_truncated_log_array(xy, N: int, L: int, m: int):
-    """Vectorized truncated sum of C(L+n, n)^m xy^n over n < N-1, in log space.
+    """Vectorized truncated sum of C(L+n, n)^m z^n over n < N-1 at z = +-xy.
 
-    Returns (log|f|, sign); the floors are the scalar guard's.
+    Returns (M, v, v_mirror): the sum is e^M v at xy and e^M v_mirror at
+    -xy.  The floors are the scalar guard's.
     """
-    return _log_sum(_trunc_log_coeffs(np.arange(N - 1), L, m), xy)
+    return _paired_sum(_trunc_log_coeffs(np.arange(N - 1), L, m), xy)
 
 
 def f_truncated(x: float, p: SeriesParams) -> SignedLogValue:
@@ -209,27 +241,37 @@ def _completion(log_coeffs, x: float, turnover: int, tol: float,
     term at the term-count bound decides whether the cut lies within it.
     Past the turnover the term ratio r falls, so the dropped tail is at
     most its first term over (1 - r); that bound joins the noise floor,
-    where it can flag a result but never zero it.
+    where it can flag a result but never zero it.  The search evaluates
+    each index once, and the sum reuses the log coefficients it found.
     """
     if turnover >= _MAX_TERMS - 1:
         raise SlowConvergenceError(
             f"turnover index {turnover} reaches the term-count bound")
     lx = math.log(abs(x))
     log_term = lambda n: log_coeffs(n) + n * lx
-    cut = log_term(np.arange(turnover + 1)).max() + math.log(tol)
+    # the log coefficients found so far, one block per searched range
+    blocks = [log_coeffs(np.arange(turnover + 1))]
+    cut = (blocks[0] + np.arange(turnover + 1) * lx).max() + math.log(tol)
     if log_term(np.array([_MAX_TERMS - 1]))[0] >= cut:
         raise SlowConvergenceError("term-count bound exceeded")
-    k = min(2 * turnover + 64, _MAX_TERMS)
+    # new ranges double in length, up to _SEARCH_BLOCK indices each
+    lo, k = turnover + 1, min(2 * turnover + 64, _MAX_TERMS)
     while True:
-        n = np.arange(turnover + 1, k)
-        past = np.flatnonzero(log_term(n) < cut)
-        if past.size:
+        n = np.arange(lo, min(k, lo + _SEARCH_BLOCK))
+        blocks.append(log_coeffs(n))
+        below = blocks[-1] + n * lx < cut
+        if below.any():
             break
-        k = min(2 * k, _MAX_TERMS)
-    last = int(n[past[0]])
+        lo, k = lo + n.size, min(2 * k, _MAX_TERMS)
+    past = int(below.argmax())
+    last = lo + past
     t1, t2 = log_term(np.array([last + 1, last + 2]))
     log_tail = t1 - math.log1p(-math.exp(t2 - t1))
-    lm, sg, fl, fl_sum = _log_series(log_coeffs(np.arange(last + 1)), [x])
+    blocks[-1] = blocks[-1][:past + 1]
+    coeffs = np.concatenate(blocks)
+    # the searched blocks are freed before the sum builds its term matrix
+    del n, below, blocks
+    lm, sg, fl, fl_sum = _log_series(coeffs, [x])
     return _guard_cancellation((lm, sg, np.logaddexp(fl, log_tail), fl_sum), what)
 
 
@@ -314,11 +356,11 @@ def _gin_log_coeffs(n: np.ndarray, m: int) -> np.ndarray:
 
 
 def f_gin_log_array(ts, N: int, m: int):
-    """Vectorized log-space Ginibre truncated sum sum t^n/(n!)^m.
+    """Vectorized Ginibre truncated sum sum t^n/(n!)^m at +-ts.
 
-    Returns (log|f|, sign), like f_truncated_log_array.
+    Returns (M, v, v_mirror), like f_truncated_log_array.
     """
-    return _log_sum(_gin_log_coeffs(np.arange(N - 1), m), ts)
+    return _paired_sum(_gin_log_coeffs(np.arange(N - 1), m), ts)
 
 
 def f_gin_truncated(t: float, N: int, m: int) -> SignedLogValue:

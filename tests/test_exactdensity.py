@@ -13,25 +13,43 @@ from realeig import exactdensity
 from realeig.errors import DomainError
 from realeig.exactdensity import DensityCurve, density_mass, gin_density_rho
 from realeig.quadrature import gauss_kronrod_adaptive
-from realeig.series import f_truncated_log_array
+from realeig.series import f_gin_log_array, f_truncated_log_array
 from realeig.weights import _log_base_array, weight_table
 from conftest import SEED
 
 FAST = QuadratureSpec(rel_tol=1e-8, rule=Rule.TANH_SINH)
 
 
-def midpoint_oracle_S(x1, x2, p, n=2000):
-    """Composite-midpoint evaluation of the kernel integral, split at the
-    sign kink; independent of the adaptive quadrature code path."""
+def _midpoint(integrand, kinks, n):
+    """Composite-midpoint sum of integrand over the panels between
+    consecutive kinks, n nodes per panel."""
     total = 0.0
-    for a, b in ((-1.0, x2), (x2, 1.0)):
+    for a, b in zip(kinks[:-1], kinks[1:]):
         ys = a + (b - a) * (np.arange(n) + 0.5) / n
-        lf, sf = f_truncated_log_array(x1 * ys, p.N, p.L, p.m)
-        vals = (x1 - ys) * np.sign(x2 - ys) * sf * np.exp(
-            _log_base_array(np.array([x1]), p.L)[0]
-            + _log_base_array(ys, p.L) + lf)
-        total += vals.sum() * (b - a) / n
+        total += integrand(ys).sum() * (b - a) / n
     return total
+
+
+def midpoint_oracle_S(x1, x2, p, n=2000):
+    """Composite-midpoint evaluation of the kernel integral over the whole
+    of [-1, 1], unfolded, split at the sign kink and at 0; independent of
+    the adaptive quadrature code path and of the fold onto y >= 0."""
+    def integrand(ys):
+        M, v, _ = f_truncated_log_array(x1 * ys, p.N, p.L, p.m)
+        return (x1 - ys) * np.sign(x2 - ys) * v * np.exp(
+            _log_base_array(np.array([abs(x1)]), p.L)[0]
+            + _log_base_array(ys, p.L) + M)
+    return _midpoint(integrand, sorted({-1.0, 0.0, x2, 1.0}), n)
+
+
+def midpoint_oracle_gin_rho(t, N, n=4000):
+    """Composite-midpoint m = 1 Ginibre density, unfolded over [-T, T]."""
+    T = exactdensity._gin_cutoff(N, 1)
+    def integrand(ys):
+        M, v, _ = f_gin_log_array(t * ys, N, 1)
+        return np.abs(t - ys) * v * np.exp(
+            -0.5 * t * t - 0.5 * ys * ys + M - math.log(2.0 * math.sqrt(2.0 * math.pi)))
+    return _midpoint(integrand, sorted({-T, 0.0, t, T}), n)
 
 
 def test_kernel_diagonal_nonnegative():
@@ -51,10 +69,17 @@ def test_kernel_diagonal_even():
 
 
 def test_kernel_against_midpoint_oracle():
+    # both signs of x1 and of x2: the fold's mirror term and folded edges
     p = SeriesParams(6, 2, 1)
-    got = kernel_S(0.3, 0.5, p, QuadratureSpec(rel_tol=1e-10, rule=Rule.TANH_SINH))
-    want = midpoint_oracle_S(0.3, 0.5, p)
-    assert got == pytest.approx(want, abs=1e-6, rel=1e-6)
+    for x1, x2 in ((0.3, 0.5), (-0.3, 0.5), (0.3, -0.5), (-0.6, -0.2)):
+        got = kernel_S(x1, x2, p, QuadratureSpec(rel_tol=1e-10, rule=Rule.TANH_SINH))
+        want = midpoint_oracle_S(x1, x2, p)
+        assert got == pytest.approx(want, abs=1e-6, rel=1e-6), (x1, x2)
+
+
+def test_gin_density_against_unfolded_midpoint_oracle():
+    got = gin_density_rho(1.3, 8, 1, QuadratureSpec(rel_tol=1e-10))
+    assert got == pytest.approx(midpoint_oracle_gin_rho(1.3, 8), abs=1e-6, rel=1e-6)
 
 
 def test_density_is_kernel_diagonal():
@@ -105,6 +130,23 @@ def test_density_vanishes_outside_limiting_support(limit_masses):
     assert vals[1] > vals[2] > vals[3]
     assert vals[-1] < 1e-8
     assert vals[-1] < 1e-4 * max(vals)
+
+
+# Series points per mass at the default spec: the fold onto y >= 0 gives
+# 48,441 and 306,086; the unfolded integral over [-1, 1] took 96,887 and
+# 550,214.  Counted through the names the benchmark's tracer wraps.
+@pytest.mark.parametrize("name,mass,bound", [
+    ("f_truncated_log_array", lambda: density_mass(SeriesParams(12, 3, 1)), 63_000),
+    ("f_gin_log_array", lambda: gin_expected_real_quadrature(8, 1), 358_000),
+])
+def test_mass_series_points_stay_folded(monkeypatch, name, mass, bound):
+    points = []
+    def counting(z, *args, _fn=getattr(exactdensity, name)):
+        points.append(np.size(z))
+        return _fn(z, *args)
+    monkeypatch.setattr(exactdensity, name, counting)
+    mass()
+    assert 0 < sum(points) <= bound
 
 
 def test_exact_route_size_envelope():
