@@ -139,7 +139,8 @@ def _quad_spec(args, default_rel=3e-9):
 
 
 def _weight_table(args, spec, ginibre):
-    """The disk-cached weight table of the requested ensemble; None at m = 1."""
+    """The weight of the requested ensemble, disk-cached when it is a
+    convolution table; None at m = 1."""
     if args.m == 1:
         return None
     cdir = cache.resolve_cache_dir(args.cache_dir)

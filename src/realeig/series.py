@@ -82,9 +82,11 @@ def _terms(log_coeffs: np.ndarray, z):
     return t, M
 
 
-def _scan(t: np.ndarray):
-    """Compensated sum down the term axis of t: (running sum, compensation)
-    per column, whose sum s + comp is the compensated value.
+def _scan(t: np.ndarray, track_peak: bool = False):
+    """Compensated sum down the term axis of t: (running sum, compensation,
+    peak) per column, whose sum s + comp is the compensated value.  peak is
+    the largest |running sum| when track_peak is set, else None.  t may be
+    overwritten.
 
     Running sums s_k = fl(s_{k-1} + t_k) are taken in term order; TwoSum
     (Knuth) gives each step's exact rounding error branch-free, and the
@@ -97,16 +99,20 @@ def _scan(t: np.ndarray):
     rows, cols = t.shape
     if rows > max(cols, 1):
         s = np.add.accumulate(t, axis=0)
+        peak = np.maximum(s.max(axis=0), -s.min(axis=0)) if track_peak else None
         prev, tot = s[:-1], s[1:]
         bp = tot - prev
-        ap = tot - bp
-        np.subtract(prev, ap, out=ap)
-        np.subtract(t[1:], bp, out=bp)
-        ap += bp
-        return s[-1], np.add.accumulate(ap, axis=0, out=ap)[-1]
+        # the errors (prev - (tot - bp)) + (t_k - bp), with t_k - bp in t
+        tk = t[1:]
+        np.subtract(tk, bp, out=tk)
+        np.subtract(tot, bp, out=bp)
+        np.subtract(prev, bp, out=bp)
+        bp += tk
+        return s[-1], np.add.accumulate(bp, axis=0, out=bp)[-1], peak
     s = t[0].copy()
     comp = np.zeros(cols)
     tot, bp, ap = np.empty(cols), np.empty(cols), np.empty(cols)
+    peak = np.abs(s) if track_peak else None
     for tk in t[1:]:
         np.add(s, tk, out=tot)
         np.subtract(tot, s, out=bp)
@@ -116,7 +122,9 @@ def _scan(t: np.ndarray):
         np.add(ap, bp, out=ap)
         np.add(comp, ap, out=comp)
         s, tot = tot, s
-    return s, comp
+        if track_peak:
+            np.maximum(peak, np.abs(s, out=ap), out=peak)
+    return s, comp, peak
 
 
 def _log_series(log_coeffs: np.ndarray, z):
@@ -134,10 +142,8 @@ def _log_series(log_coeffs: np.ndarray, z):
     # odd terms take the sign of z, and the scan runs in term order
     odd = t[1::2]
     np.negative(odd, out=odd, where=np.asarray(z) < 0)
-    s, comp = _scan(t)
+    s, comp, maxpartial = _scan(t, track_peak=True)
     vals = s + comp
-    # the scan's running sums again, in the same order, in place
-    maxpartial = np.abs(np.add.accumulate(t, axis=0, out=t), out=t).max(axis=0)
     sum_noise = maxpartial * (_EPS * math.sqrt(max(len(log_coeffs), 1)))
     with np.errstate(divide="ignore"):
         return (M + np.log(np.abs(vals)), np.sign(vals),
@@ -158,7 +164,7 @@ def _paired_sum(log_coeffs: np.ndarray, z):
         # a zero last row, which adds exact zeros to the even scan
         log_coeffs = np.append(log_coeffs, -np.inf)
     t, M = _terms(log_coeffs, z)
-    s, comp = _scan(t.reshape(len(t) // 2, 2 * z.size))
+    s, comp, _ = _scan(t.reshape(len(t) // 2, 2 * z.size))
     s_even, s_odd = s.reshape(2, -1)
     c_even, c_odd = comp.reshape(2, -1)
     neg = z < 0

@@ -7,10 +7,17 @@ and the m-factor weight is its m-fold multiplicative convolution,
 an even function of x that diverges (logarithmically) at x = 0 for m >= 2.
 The Ginibre analogue replaces the base with exp(-y^2/2) on the half line.
 
-Convolutions are tabulated once per (L, m) on a Chebyshev grid in the
-variable xi = |x|^(1/m), where both the |x|^(1/m - 1) blow-up at zero and
-the (1 - x^(2/m))-type vanishing at one become polynomial, and interpolated
-with a cubic spline in log space.
+Two factors have a closed form (TwoFactorWeight): a Gauss hypergeometric
+function for the truncated weight at L <= _MAX_EXACT_L, and 2 K_0(|t|) for
+Ginibre.  weight_table(L, 2) returns it and builds nothing.
+
+Every other level is a convolution table, built once per (L, m) from the
+highest exact level below it (w_2 where it exists, else the base weight),
+on a Chebyshev grid in the variable xi = |x|^(1/m).  There the |x|^(1/m - 1)
+blow-up at zero becomes polynomial, and the truncated weight vanishes at
+xi = 1 like (1 - xi^2)^(mL/2 - 1).  A cubic spline cannot follow that
+factor's log singularity near xi = 1, so the spline interpolates ln w minus
+(mL/2 - 1) ln(1 - xi^2) and log_weight adds the factor back.
 """
 from __future__ import annotations
 
@@ -21,6 +28,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ellipkm1, gammaln, hyp2f1, k0e, psi
 
 from . import cache
 from .errors import DomainError, NonConvergentError
@@ -33,6 +41,12 @@ DEFAULT_GRID_SIZE = 512
 _MAX_GRID_SIZE = 4096
 _GIN_XI_MAX = 12.0  # Ginibre tables cover t in (0, 12^m); Gaussian tail beyond
 DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-9)
+# Largest L whose two-factor weight is exact: within 1e-12 of mpmath in
+# ln w_2 (1.5e-13 at L = 28, 6e-13 at 30, 1.3e-12 at 32, all near
+# x^2 = 0.025, where hyp2f1 loses digits as L grows)
+_MAX_EXACT_L = 28
+# x^2 below which w_2 runs on the log expansion: 1 - x^2 would round
+_U_SERIES_MAX = 1e-3
 
 _log = logging.getLogger(__name__)
 
@@ -150,8 +164,9 @@ class WeightTable:
 
     log_values holds ln w at the grid nodes (the weight is positive on its
     whole support, so a plain float array carries the SignedLogValue
-    content with sign fixed at +1).  Construction is the only mutation;
-    evaluation is read-only and thread-safe.
+    content with sign fixed at +1).  The spline interpolates ln w minus the
+    truncated weight's edge factor (mL/2 - 1) ln(1 - xi^2).  Construction
+    is the only mutation; evaluation is read-only and thread-safe.
     """
 
     L: int
@@ -171,8 +186,16 @@ class WeightTable:
             raise DomainError("grid and log_values must be finite")
         if np.any(np.diff(grid) <= 0):
             raise DomainError("grid must be strictly increasing")
-        self._spline = _NotAKnotSpline(grid, values)
-        self._at_lo, self._at_hi = self._spline(grid[[0, -1]])
+        self._edge = self.m * self.L / 2.0 - 1.0 if self.kind == "truncated" else 0.0
+        self._spline = _NotAKnotSpline(grid, values - self._edge_term(grid))
+        self._at_lo, self._at_hi = values[[0, -1]]
+
+    def _edge_term(self, xi):
+        """(mL/2 - 1) ln(1 - xi^2) for the truncated kind, xi <= 1; else 0."""
+        if self._edge == 0.0:
+            return 0.0
+        with np.errstate(divide="ignore"):
+            return self._edge * np.log1p(-xi * xi)
 
     def signed_values(self):
         return [SignedLogValue.from_log(1, float(v)) for v in self.log_values]
@@ -182,20 +205,11 @@ class WeightTable:
         x = np.abs(np.asarray(x, dtype=float))
         xi = x ** (1.0 / self.m)
         lo, hi = self.grid[0], self.grid[-1]
-        out = self._spline(np.clip(xi, lo, hi))
-        if self.kind == "truncated":
-            upper = xi > hi
-            # (1 - xi^2)^(mL/2 - 1) shape continuation toward xi = 1; flat
-            # (the clipped spline value) up to xi = 1 when the exponent is zero
-            e = self.m * self.L / 2.0 - 1.0
-            if e != 0.0 and upper.any():
-                with np.errstate(divide="ignore"):
-                    out = np.where(
-                        upper,
-                        self._at_hi + e * (np.log1p(-np.minimum(xi, 1.0) ** 2)
-                                                - math.log1p(-hi * hi)),
-                        out)
-        else:
+        # past the last node the fit stays at its end value, so the edge
+        # factor alone carries the weight to zero at xi = 1 (flat up to
+        # xi = 1 when mL = 2)
+        out = self._spline(np.clip(xi, lo, hi)) + self._edge_term(np.minimum(xi, 1.0))
+        if self.kind != "truncated":
             upper = xi > hi
             if upper.any():
                 # Gaussian tail continuation in the xi variable
@@ -220,6 +234,95 @@ class WeightTable:
         return np.where(x == 0.0, np.inf, out)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_expansion(L: int):
+    """Polynomials p, q (np.polyval order) with w_2 = c^2 (1 - u)^(L-1)
+    (q(u) - ln(u) p(u)) at small u = x^2, where c^2 = e^(2 lbp(L)).
+
+    This is DLMF 15.8.10 for 2F1(a, a; 2a; 1 - u), a = L/2, whose gamma
+    prefactor cancels B(a, a): p_k = ((a)_k / k!)^2 and
+    q_k = p_k (2 psi(k+1) - 2 psi(a+k)).  The terms shrink by about
+    (a + k)^2 u / (k + 1)^2 each, and the expansion stops where the next
+    one is below 2^-64 of the first at u = _U_SERIES_MAX.
+    """
+    a = L / 2.0
+    k = np.arange(64)
+    log_p = 2.0 * (gammaln(a + k) - gammaln(a) - gammaln(k + 1.0))
+    keep = log_p + k * math.log(_U_SERIES_MAX) > -64 * math.log(2.0)
+    k = k[: int(np.argmin(keep))]
+    p = np.exp(log_p[: k.size])
+    q = p * 2.0 * (psi(k + 1.0) - psi(a + k))
+    return p[::-1], q[::-1]
+
+
+def _log_w2_truncated(ax: np.ndarray, L: int) -> np.ndarray:
+    """ln w_2 at 0 < ax < 1 for L <= _MAX_EXACT_L (see TwoFactorWeight)."""
+    lc2 = 2.0 * log_base_prefactor(L)
+    if L == 1:
+        # ellipkm1 takes u itself, so K stays accurate as x -> 0; once u
+        # is below eps, K = ln(4 / x) to rounding (and u may underflow)
+        u = ax * ax
+        K = np.where(u < 1e-17, math.log(4.0) - np.log(ax), ellipkm1(u))
+        return lc2 + math.log(2.0) + np.log(K)
+    if L == 2:
+        return lc2 + math.log(2.0) + np.log(-np.log(ax))
+    a = L / 2.0
+    u = ax * ax
+    # (L - 1) ln(1 - u), exact near x = 1
+    out = lc2 + (L - 1) * (np.log1p(-ax) + np.log1p(ax))
+    small = u < _U_SERIES_MAX
+    p, q = _log_expansion(L)
+    us = u[small]
+    out[small] += np.log(np.polyval(q, us) - 2.0 * np.log(ax[small]) * np.polyval(p, us))
+    # z = 1 - u: 2F1(a, a; 2a; z) = (1 - z/2)^-a 2F1(a/2, a/2 + 1/2; a + 1/2;
+    # (z/(2-z))^2) (DLMF 15.8.13).  hyp2f1 of the plain form loses digits
+    # at z > 0.9 as L grows (1.4e-11 at L = 20), this form does not
+    big = ~small
+    ub, axb = u[big], ax[big]
+    zeta = ((1.0 - axb) * (1.0 + axb) / (1.0 + ub)) ** 2
+    out[big] += (log_beta(a, a) - a * np.log(0.5 * (1.0 + ub))
+                 + np.log(hyp2f1(0.5 * a, 0.5 * a + 0.5, a + 0.5, zeta)))
+    return out
+
+
+@dataclass(frozen=True)
+class TwoFactorWeight:
+    """The exact two-factor weight, with the L, m, kind and log_weight of a
+    WeightTable and nothing to build.
+
+    Truncated, with u = x^2, a = L/2 and c = e^(log_base_prefactor(L)):
+        w_2(x) = c^2 B(a, a) (1 - u)^(L-1) 2F1(a, a; L; 1 - u),
+    the Meijer G^{2,0}_{2,2} whose Mellin transform is (c B(s/2, a))^2 / 2.
+    At L = 1 it is 2 c^2 K(1 - u), K the complete elliptic integral of
+    parameter 1 - u, and at L = 2 it is -2 c^2 ln|x|.  Below u =
+    _U_SERIES_MAX the 2F1 runs on its log expansion (_log_expansion), where
+    1 - u would round.  Only L <= _MAX_EXACT_L is exact.
+    Ginibre (L = 1 by convention): w_2(t) = 2 K_0(|t|).
+    """
+
+    L: int
+    kind: str = "truncated"
+    m: int = field(default=2, init=False)
+
+    def log_weight(self, x) -> np.ndarray:
+        """Vectorized ln w_2(x); +inf at x = 0, -inf where the weight vanishes."""
+        ax = np.abs(np.asarray(x, dtype=float))
+        with np.errstate(divide="ignore"):
+            if self.kind != "truncated":
+                return np.log(2.0 * k0e(ax)) - ax
+            inside = (0.0 < ax) & (ax < 1.0)
+            out = np.where(ax == 0.0, np.inf, -np.inf)
+            out[inside] = _log_w2_truncated(ax[inside], self.L)
+            if self.L == 1:
+                # K(0) = pi/2: the weight stays finite up to |x| = 1
+                out[ax == 1.0] = 2.0 * log_base_prefactor(1) + math.log(math.pi)
+            return out
+
+
+def _has_two_factor(L: int, kind: str) -> bool:
+    return kind != "truncated" or L <= _MAX_EXACT_L
+
+
 def _chebyshev_grid(n: int, scale: float = 1.0) -> np.ndarray:
     k = np.arange(n)
     return scale * 0.5 * (1.0 + np.cos((2 * k + 1) * math.pi / (2 * n)))[::-1]
@@ -240,7 +343,9 @@ def _convolve_level(xs, L: int, level: int, prev_logw, spec: QuadratureSpec,
         base = lambda y: _log_base_array(y, L)
     else:
         hi = np.full_like(xs, 45.0)
-        lo = xs / hi
+        # w_{level-1} is negligible past 45^(level-1), where one of its
+        # Gaussian factors would be past 45
+        lo = xs / 45.0 ** (level - 1)
         base = lambda y: -0.5 * np.asarray(y) ** 2
     root = np.sqrt(xs)
     mid = np.where((lo < root) & (root < hi), root, 0.5 * (lo + hi))
@@ -285,14 +390,20 @@ def _convolve_level(xs, L: int, level: int, prev_logw, spec: QuadratureSpec,
 
 
 def _build_table(L: int, m: int, n: int, spec: QuadratureSpec, kind: str) -> WeightTable:
+    """Convolution table of level m on an n-node grid.  Levels past 2 start
+    from the exact two-factor weight where it exists; level 2 itself, and
+    every level of an L without one, convolves up from the base weight."""
     xi_scale = 1.0 if kind == "truncated" else _GIN_XI_MAX
     xi = _chebyshev_grid(n, xi_scale)
-    if kind == "truncated":
+    first = 3 if m > 2 and _has_two_factor(L, kind) else 2
+    if first == 3:
+        prev_logw = TwoFactorWeight(L, kind).log_weight
+    elif kind == "truncated":
         prev_logw = lambda u: _log_base_array(u, L)
     else:
         prev_logw = lambda u: -0.5 * np.asarray(u) ** 2
     table = None
-    for level in range(2, m + 1):
+    for level in range(first, m + 1):
         vals = _convolve_level(xi ** level, L, level, prev_logw, spec, kind)
         table = WeightTable(L=L, m=level, grid=xi, log_values=vals,
                             kind=kind, xi_scale=xi_scale)
@@ -318,17 +429,20 @@ def _mass_check(table: WeightTable, spec: QuadratureSpec) -> float:
 
 def weight_table(L: int, m: int, spec: QuadratureSpec | None = None,
                  n: int = DEFAULT_GRID_SIZE, kind: str = "truncated",
-                 cache_dir=None) -> WeightTable:
-    """Build (or fetch) the convolution table for (L, m); m >= 2.
+                 cache_dir=None) -> WeightTable | TwoFactorWeight:
+    """The m-factor weight for (L, m), m >= 2: the exact TwoFactorWeight
+    where it exists, else a convolution table, built or fetched.
 
-    The grid is doubled until the analytic mass identity holds to 1e-6.
-    Tables are cached in-process and, when cache_dir is given, on disk,
-    keyed by the parameters and by the spec's tolerances and depth.
+    A table's grid is doubled until the analytic mass identity holds to
+    1e-6.  Tables are cached in-process and, when cache_dir is given, on
+    disk, keyed by the parameters and by the spec's tolerances and depth.
     """
     _check_L(L)
     _check_m(m)
     if m < 2:
         raise DomainError("tables exist only for m >= 2; m = 1 is closed-form")
+    if m == 2 and _has_two_factor(L, kind):
+        return TwoFactorWeight(L, kind)
     spec = spec or DEFAULT_SPEC
     key = (kind, L, m, n, spec.rel_tol, spec.abs_tol, spec.max_depth)
     # held across the build, so concurrent callers build each key once
@@ -415,12 +529,12 @@ def ginibre_weight_asymptotic(x: float, N: int, m: int) -> SignedLogValue:
 
 def mellin_weight_crosscheck(L: int, m: int, points, spec: QuadratureSpec | None = None,
                              table: WeightTable | None = None) -> float:
-    """Independent check of the convolution tables via Mellin inversion.
+    """Independent check of the weights via Mellin inversion.
 
     The Mellin transform of w_m restricted to (0, 1) is
     (1/2) * (c^(1/2) B(s/2, L/2))^m with c = L / (2 B(L/2, 1/2)); inverting
     it on a vertical line must reproduce the table (by default
-    weight_table(L, m)).  Returns the maximum relative deviation over the
+    weight_table(L, m): the closed form at m = 2, else a convolution table).  Returns the maximum relative deviation over the
     probe points.  Requires m*L >= 4 so the line integral converges
     comfortably; spec is its tolerance.  contour_line_integral integrates in
     Im s directly, so the x^{-s} oscillation stays resolvable.

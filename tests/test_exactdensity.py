@@ -117,6 +117,19 @@ def test_expected_consistency_with_density_integral():
         assert direct == pytest.approx(mass, rel=1e-4)
 
 
+# At m = 2 the weight is the exact two-factor closed form, and the two
+# routes agree to rounding: gaps of at most 6.2e-14 over this grid, which is
+# 8.6e-5 of err_q + err_s at most (the sum route's err_s dominates).  This
+# gate sits beside criterion 1's 1e-5; it does not replace it.
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_two_factor_masses_match_the_sum_route(L):
+    for N in (4, 5, 6, 7, 8, 16, 64):
+        q, err_q = expected_real_quadrature(SeriesParams(N, L, 2), return_err=True)
+        s, err_s = expected_real_sum(N, L, 2, return_err=True)
+        assert abs(q - s) <= 1.0 * (err_q + err_s)
+        assert abs(q - s) <= 1e-12
+
+
 def test_density_vanishes_outside_limiting_support(limit_masses):
     # just outside the limit support the finite-size density dies away;
     # the even-size subsequence decays monotonically, the odd starting

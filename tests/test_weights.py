@@ -89,11 +89,11 @@ def test_evenness(L, m):
 def test_weight_table_disk_cache_round_trip(tmp_path):
     from realeig import cache, weights
 
-    table = weight_table(2, 2)
+    table = weight_table(2, 3)
     spec = weights.DEFAULT_SPEC
     path = cache.save_weight_table(tmp_path, table, table.grid.size, spec)
     assert path.exists()
-    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 2,
+    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 3,
                                      table.grid.size, spec)
     assert loaded is not None
     assert np.array_equal(loaded.log_values, table.log_values)
@@ -108,15 +108,15 @@ def test_weight_table_keyed_by_spec(tmp_path):
 
     loose = QuadratureSpec(rel_tol=1e-3, rule=Rule.TANH_SINH)
     tight = QuadratureSpec(rel_tol=1e-4, rule=Rule.TANH_SINH)
-    table = weight_table(2, 2, loose)
-    other = weight_table(2, 2, tight)
+    table = weight_table(2, 3, loose)
+    other = weight_table(2, 3, tight)
     assert other is not table
     assert not np.array_equal(other.log_values, table.log_values)
-    assert weight_table(2, 2, QuadratureSpec(rel_tol=1e-3, rule=Rule.TANH_SINH)) is table
+    assert weight_table(2, 3, QuadratureSpec(rel_tol=1e-3, rule=Rule.TANH_SINH)) is table
     n = table.grid.size
     cache.save_weight_table(tmp_path, table, n, loose)
-    assert cache.load_weight_table(tmp_path, "truncated", 2, 2, n, tight) is None
-    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 2, n, loose)
+    assert cache.load_weight_table(tmp_path, "truncated", 2, 3, n, tight) is None
+    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 3, n, loose)
     assert np.array_equal(loaded.log_values, table.log_values)
 
 
@@ -136,7 +136,7 @@ def test_weight_table_built_once_for_concurrent_callers(monkeypatch):
     monkeypatch.setattr(weights, "_build_table", counting_build)
     spec = QuadratureSpec(rel_tol=2e-4, rule=Rule.TANH_SINH)
     results = []
-    threads = [threading.Thread(target=lambda: results.append(weight_table(2, 2, spec)))
+    threads = [threading.Thread(target=lambda: results.append(weight_table(2, 3, spec)))
                for _ in range(6)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -153,10 +153,12 @@ def test_weight_table_built_once_for_concurrent_callers(monkeypatch):
 
 
 def test_grid_nodes_reproduced_exactly():
-    table = weight_table(2, 2)
+    table = weight_table(2, 3)
     got = table._spline(table.grid)
-    assert np.array_equal(np.asarray(got), table.log_values) or \
-        np.allclose(got, table.log_values, rtol=0, atol=1e-14)
+    # the spline interpolates ln w minus the edge factor (mL/2 - 1) ln(1 - xi^2)
+    fit = table.log_values - 2.0 * np.log1p(-table.grid ** 2)
+    assert np.array_equal(np.asarray(got), fit) or \
+        np.allclose(got, fit, rtol=0, atol=1e-14)
     assert all(v.sign == 1 for v in table.signed_values())
 
 
@@ -221,9 +223,120 @@ def test_ginibre_weight_gaussian_case():
 
 def test_ginibre_weight_two_factor_bessel_oracle():
     # product of two standard Gaussians: w(t) = 2 K0(|t|)
-    for t in (0.25, 1.0, 2.0, 4.0):
+    for t in (1e-8, 1e-3, 0.25, 1.0, 2.0, 4.0):
         want = 2.0 * scipy.special.k0(t)
-        assert ginibre_weight(t, 2).to_real() == pytest.approx(want, rel=1e-7)
+        assert ginibre_weight(t, 2).to_real() == pytest.approx(want, rel=1e-13)
+        assert ginibre_weight(-t, 2).to_real() == pytest.approx(want, rel=1e-13)
+
+
+def _mp_log_w2(mpmath, x, L):
+    """ln w_2 at the float x from mpmath's 2F1, at the working precision."""
+    x, a = mpmath.mpf(float(x)), mpmath.mpf(L) / 2
+    log_c2 = mpmath.log(L) - mpmath.log(2) - mpmath.log(mpmath.beta(a, mpmath.mpf(1) / 2))
+    u = x * x
+    return (log_c2 + mpmath.log(mpmath.beta(a, a)) + (L - 1) * mpmath.log(1 - u)
+            + mpmath.log(mpmath.hyp2f1(a, a, L, 1 - u)))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 8, 16, weights._MAX_EXACT_L])
+def test_two_factor_weight_matches_mpmath(L):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    # log-spaced up to 1 - 1e-6, and densely where x^2 is 1e-3..0.12: the
+    # switch to hyp2f1 and the band where it loses digits as L grows
+    xs = np.concatenate([np.logspace(-12, -0.5, 60), 1.0 - np.logspace(-6, -0.5, 30),
+                         np.sqrt(np.linspace(1e-3, 0.12, 120))])
+    got = weights.TwoFactorWeight(L).log_weight(xs)
+    err = [abs(float(g - _mp_log_w2(mpmath, x, L))) for g, x in zip(got, xs)]
+    assert max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("L", [1, 3, 8])
+def test_two_factor_closed_form_is_the_convolution(L):
+    # the closed form against the defining integral 2 int_x^1 w(x/y) w(y) dy/y
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    a = mpmath.mpf(L) / 2
+    c2 = L / (2 * mpmath.beta(a, mpmath.mpf(1) / 2))
+    for x in (1e-6, 0.3, 0.9):
+        x = mpmath.mpf(x)
+        # a node that rounds onto an end point has negligible weight
+        def f(y):
+            b = (1 - (x / y) ** 2) * (1 - y * y)
+            return 2 * c2 * b ** (a - 1) / y if b else 0
+        cuts = [x * 10 ** k for k in range(int(mpmath.ceil(-mpmath.log10(x))))] + [1]
+        ref = mpmath.log(mpmath.quad(f, cuts))
+        got = float(weights.TwoFactorWeight(L).log_weight(np.array([float(x)]))[0])
+        assert abs(got - float(ref)) <= 1e-12
+
+
+def test_ginibre_two_factor_weight_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    ts = np.logspace(-10, math.log10(40.0), 80)
+    got = weights.TwoFactorWeight(1, "ginibre").log_weight(ts)
+    err = [abs(float(g - mpmath.log(2 * mpmath.besselk(0, mpmath.mpf(float(t))))))
+           for g, t in zip(got, ts)]
+    assert max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("L,kind,tol", [
+    (1, "truncated", 1e-6), (2, "truncated", 2e-11), (3, "truncated", 2e-11),
+    (4, "truncated", 2e-11), (1, "ginibre", 5e-11)])
+def test_level_two_convolution_matches_closed_form(L, kind, tol):
+    # the convolution route kept as a check: level 2 from the base weight
+    # at the default grid's nodes, up to x = 0.9999.  Measured: 9.0e-7 at
+    # L = 1 (near x = 0.9999, where tanh-sinh accepts unconverged panels),
+    # 1.3e-11 at L = 2..4 (near x = 6e-12), 3.3e-11 for Ginibre
+    xi = weights._chebyshev_grid(weights.DEFAULT_GRID_SIZE,
+                                 1.0 if kind == "truncated" else weights._GIN_XI_MAX)
+    x = xi ** 2
+    if kind == "truncated":
+        x = x[x <= 0.9999]
+        base = lambda u: weights._log_base_array(u, L)
+    else:
+        base = lambda u: -0.5 * np.asarray(u) ** 2
+    got = weights._convolve_level(x, L, 2, base, weights.DEFAULT_SPEC, kind)
+    want = weights.TwoFactorWeight(L, kind).log_weight(x)
+    assert np.abs(got - want).max() <= tol
+
+
+def test_ginibre_three_factor_table_reaches_its_grid_end():
+    # level 3 integrates 2 int w_2(t/y) exp(-y^2/2) dy/y over y up to 45 and
+    # down to t / 45^2: cutting at t / 45, where w_2's argument is only 45,
+    # dropped the peak near y = t^(1/3) once t > 100 (-0.64 in ln w_3 at
+    # t = 300, and gin_expected_real_quadrature(32, 3) 3.5 sigma below Monte
+    # Carlo).  Measured: 6.5e-11, 2.4e-11 and 1.6e-12 at t = 100, 300, 1000
+    from scipy.integrate import quad
+
+    table = weight_table(1, 3, kind="ginibre")
+    for t in (100.0, 300.0, 1000.0):
+        # QUADPACK on the integrand scaled by its peak, near y = t^(1/3)
+        c = t ** (1.0 / 3.0)
+        log_f = lambda y: (math.log(4.0 * scipy.special.k0e(t / y)) - t / y
+                           - 0.5 * y * y - math.log(y))
+        peak = log_f(c)
+        v, _ = quad(lambda y: math.exp(log_f(y) - peak), t / 45.0 ** 2, 45.0,
+                    points=[c / 2, c, 2 * c], epsabs=0.0, epsrel=1e-13, limit=200)
+        ref = peak + math.log(v)
+        assert abs(float(table.log_weight(np.array([t]))[0]) - ref) <= 1e-10
+
+
+def test_two_factor_weight_builds_nothing(monkeypatch):
+    calls = []
+    for name in ("_convolve_level", "_mass_check", "_build_table"):
+        real = getattr(weights, name)
+        monkeypatch.setattr(weights, name, lambda *a, _n=name, _f=real, **k:
+                            calls.append(_n) or _f(*a, **k))
+    monkeypatch.setattr(weights, "_registry", {})
+    for kind in ("truncated", "ginibre"):
+        w = weight_table(1, 2, kind=kind)
+        assert (w.L, w.m, w.kind) == (1, 2, kind)
+        assert np.isfinite(w.log_weight(np.array([0.5]))).all()
+    assert calls == []
+    # a level-3 table is one convolution, from the exact level 2
+    weight_table(2, 3, QuadratureSpec(rel_tol=1e-4, rule=Rule.TANH_SINH))
+    assert calls.count("_convolve_level") == 1
 
 
 def test_ginibre_weight_mass():
@@ -272,9 +385,9 @@ def test_mellin_crosscheck_checks_the_registry_table(monkeypatch):
     from realeig import weights
 
     monkeypatch.setattr(weights, "_registry", {})
-    weight_table(2, 2)
+    weight_table(2, 3)
     keys = set(weights._registry)
-    mellin_weight_crosscheck(2, 2, [0.25, 0.5])
+    mellin_weight_crosscheck(2, 3, [0.25, 0.5])
     assert set(weights._registry) == keys
 
 
@@ -310,8 +423,9 @@ def test_unconverged_convolution_panel_is_logged_or_raised(monkeypatch, caplog,
 
 def _reference_table(L, m, n, spec, kind):
     """The per-node build: each node's two panels in a batch of their own,
-    run again one by one when that batch raises.  Returns the table and the
-    accepted panels as (x, a, b, value, err_est)."""
+    run again one by one when that batch raises.  Levels past 2 start from
+    the exact two-factor weight.  Returns the table and the accepted panels
+    as (x, a, b, value, err_est)."""
     accepted = []
 
     def panel(f, a, b, x):
@@ -324,13 +438,13 @@ def _reference_table(L, m, n, spec, kind):
                              float(exc.err_est)))
             return exc.value
 
-    def convolve(x, prev_logw):
+    def convolve(x, prev_logw, level):
         if kind == "truncated":
             lo, hi = x, 1.0
             base = lambda y: weights._log_base_array(y, L)
         else:
             hi = 45.0
-            lo = x / hi
+            lo = x / hi ** (level - 1)
             base = lambda y: -0.5 * np.asarray(y) ** 2
         mid = math.sqrt(x) if lo < math.sqrt(x) < hi else 0.5 * (lo + hi)
         scale = float(prev_logw(np.array([x / mid]))[0] + base(np.array([mid]))[0])
@@ -353,14 +467,17 @@ def _reference_table(L, m, n, spec, kind):
 
     xi_scale = 1.0 if kind == "truncated" else weights._GIN_XI_MAX
     xi = weights._chebyshev_grid(n, xi_scale)
-    if kind == "truncated":
+    first = 3 if m > 2 else 2
+    if first == 3:
+        prev_logw = weights.TwoFactorWeight(L, kind).log_weight
+    elif kind == "truncated":
         prev_logw = lambda u: weights._log_base_array(u, L)
     else:
         prev_logw = lambda u: -0.5 * np.asarray(u) ** 2
-    for level in range(2, m + 1):
+    for level in range(first, m + 1):
         vals = np.empty(n)
         for i, xv in enumerate(xi ** level):
-            vals[i] = convolve(xv, prev_logw)
+            vals[i] = convolve(xv, prev_logw, level)
         table = weights.WeightTable(L=L, m=level, grid=xi, log_values=vals,
                                     kind=kind, xi_scale=xi_scale)
         prev_logw = table.log_weight
@@ -427,14 +544,22 @@ def test_import_leaves_scipy_interpolate_unloaded(tmp_path):
 def test_spline_matches_scipy_cubic_spline(L, m, kind):
     from scipy.interpolate import CubicSpline
 
-    table = weight_table(L, m, kind=kind)
-    x, y = table.grid, table.log_values
+    # weight_table(L, 2) is exact, so the m = 2 tables are built directly
+    table = (weights._build_table(L, m, weights.DEFAULT_GRID_SIZE,
+                                  weights.DEFAULT_SPEC, kind)
+             if m == 2 else weight_table(L, m, kind=kind))
+    x = table.grid
+    # the spline interpolates ln w minus the truncated edge factor
+    edge = m * L / 2.0 - 1.0 if kind == "truncated" else 0.0
+    edge_term = lambda v: edge * np.log1p(-v * v) if edge else 0.0 * v
+    y = table.log_values - edge_term(x)
     lo, hi = x[0], x[-1]
     ref = CubicSpline(x, y)
     xi = np.concatenate([x, np.random.default_rng(SEED).uniform(lo, hi, 10 ** 4)])
     assert np.abs(table._spline(xi) - ref(xi)).max() <= 1e-14
     # the end values log_weight continues from
-    assert abs(table._at_lo - ref(lo)) <= 1e-14 and abs(table._at_hi - ref(hi)) <= 1e-14
+    assert abs(table._at_lo - ref(lo) - edge_term(lo)) <= 1e-14
+    assert abs(table._at_hi - ref(hi) - edge_term(hi)) <= 1e-14
 
     # not-a-knot: the third derivative, 6 c3 on each piece, is continuous
     # at the 2nd and the penultimate knots
