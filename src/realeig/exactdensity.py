@@ -13,6 +13,16 @@ exponent, ln w(x) + ln w(y) + M (the factors individually leave double
 range around N ~ 40), exponentiated once per node and multiplied into both
 halves.  The Ginibre density has the same form on (-T, T).
 
+The expected count's integrand |x - y| w(x) w(y) f(x y) is unchanged by
+(x, y) -> (y, x) and (x, y) -> (-x, -y), so a quarter of the square, the
+wedge x >= |y|, holds all of it:
+    E = 4 int_0^1 w(x) int_0^x [(x - y) f(x y) + (x + y) f(-x y)] w(y) dy dx.
+The masses (density_mass, gin_expected_real_quadrature and the expected_*
+counts on them) integrate each outer node's row over (0, x) only, with the
+density's integrand (sgn(x - y) = +1 there) and the absolute floor of its
+full row.  density_rho, gin_density_rho, kernel_S and build_density_curve
+keep the full inner integral over (0, 1), or (0, T) for Ginibre.
+
 Parity note, verified by simulation: the kernel formulas reproduce the
 simulated expected count exactly for even N, while for odd N the simulated
 count exceeds the kernel integral by exactly one (the unpaired-eigenvalue
@@ -75,7 +85,7 @@ def _chunked(fn, y, row, n_terms: int):
                            for i in range(0, len(y), step)])
 
 
-def _piecewise(f, points, spec) -> tuple[np.ndarray, np.ndarray]:
+def _piecewise(f, points, spec, stop=None) -> tuple[np.ndarray, np.ndarray]:
     """Per row of points, the sum of tanh-sinh integrals over its panels.
 
     points is (rows, k), each row sorted; its consecutive pairs are the
@@ -84,7 +94,9 @@ def _piecewise(f, points, spec) -> tuple[np.ndarray, np.ndarray]:
     Every panel of every row runs in one tanh-sinh batch.  A coarse probe
     of each row's integrand sets that row's absolute-tolerance floor, so
     panels that contribute nothing to the total (underflowed tails) are
-    not asked for impossible relative accuracy.
+    not asked for impossible relative accuracy.  With stop, one edge per
+    row, only the panels below stop[i] are integrated; the probes and the
+    floor still cover the whole row.
     """
     points = np.asarray(points, dtype=float)
     lo, hi = points[:, :-1], points[:, 1:]
@@ -99,6 +111,10 @@ def _piecewise(f, points, spec) -> tuple[np.ndarray, np.ndarray]:
     scale = np.zeros(len(points))
     np.fmax.at(scale, row, fp.reshape(probes.shape).max(axis=1))
     floor = np.fmax(spec.abs_tol, scale * span * spec.rel_tol * 0.02)
+    if stop is not None:
+        keep &= hi <= stop[:, None]
+        row, _ = np.nonzero(keep)
+        a, b = lo[keep], hi[keep]
     v, e, _ = tanh_sinh_batch(lambda y, r: f(y, row[r]), a, b, floor[row], spec)
     vals = np.zeros(keep.shape)
     errs = np.zeros(keep.shape)
@@ -114,7 +130,7 @@ def _piecewise(f, points, spec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _density(x1, x2, log_w, paired_series, n_terms: int, points, spec,
-             log_pref: float = 0.0) -> np.ndarray:
+             log_pref: float = 0.0, stop=None) -> np.ndarray:
     """Kernel entries int (x1 - y) sgn(x2 - y) w(|x1|) w(|y|) f(x1 y) dy,
     times e^log_pref, at every entry of the arrays x1 and x2; x1 = x2 = |x|
     gives the one-point density at x.
@@ -125,8 +141,8 @@ def _density(x1, x2, log_w, paired_series, n_terms: int, points, spec,
     where paired_series(z), with n_terms terms, returns (M, v, v_mirror)
     and f(+-z) = e^M v, e^M v_mirror: one exp per node and no log.
     points[i] holds the sorted panel edges in y >= 0 for entry i, with the
-    kinks of both halves folded by |.|.  A value within its own quadrature
-    error is zero: its sign is noise, the policy
+    kinks of both halves folded by |.|; stop is _piecewise's.  A value
+    within its own quadrature error is zero: its sign is noise, the policy
     series._guard_cancellation applies to sums below their roundoff floor.
     """
     lwx = log_w(np.abs(x1)) + log_pref
@@ -137,21 +153,25 @@ def _density(x1, x2, log_w, paired_series, n_terms: int, points, spec,
         return np.exp(lwx[row] + log_w(y) + M) * (
             (x1r - y) * np.sign(x2r - y) * v + (x1r + y) * np.sign(x2r + y) * v_mirror)
 
-    total, err = _piecewise(lambda y, row: _chunked(part, y, row, n_terms), points, spec)
+    total, err = _piecewise(lambda y, row: _chunked(part, y, row, n_terms), points, spec,
+                            stop)
     return np.where(np.abs(total) <= err, 0.0, total)
 
 
-def _mass(rho, edges, spec) -> tuple[float, float]:
-    """Twice the integral of the even density over edges, and twice the
-    outer quadrature's error estimate.
+def _mass(rows, edges, spec, wedge: bool) -> tuple[float, float]:
+    """The kernel integral over the square and the outer quadrature's error
+    estimate, from the outer rule over edges (x >= 0).
 
-    rho(xs, inner_spec) evaluates the density at an array of abscissae;
-    each value is computed at 0.3 times the outer relative tolerance.
+    rows(xs, inner_spec) evaluates the inner rows at an array of abscissae,
+    each at 0.3 times the outer relative tolerance.  Wedge rows integrate
+    y over (0, x) and the square is four times their integral; density
+    rows integrate y over all of the fold and the square is twice theirs.
     """
     inner = QuadratureSpec(rel_tol=spec.rel_tol * 0.3, abs_tol=0.0,
                            max_depth=spec.max_depth)
-    total, err = _piecewise(lambda xs, _: rho(xs, inner), [edges], spec)
-    return 2.0 * float(total[0]), 2.0 * float(err[0])
+    total, err = _piecewise(lambda xs, _: rows(xs, inner), [edges], spec)
+    fold = 4.0 if wedge else 2.0
+    return fold * float(total[0]), fold * float(err[0])
 
 
 def _regime_edges(p: SeriesParams) -> list[float]:
@@ -198,8 +218,9 @@ def kernel_S(x1: float, x2: float, p: SeriesParams,
                           spec)[0])
 
 
-def _rho(xs, p: SeriesParams, spec, table) -> np.ndarray:
-    """Truncated-model density at every entry of xs."""
+def _rho(xs, p: SeriesParams, spec, table, wedge: bool = False) -> np.ndarray:
+    """Truncated-model density at every entry of xs, or with wedge the
+    mass's inner rows: the same integrand over y in (0, |x|) only."""
     _check_envelope(p)
     xs = np.asarray(xs, dtype=float)
     outside = ~((-1.0 < xs) & (xs < 1.0))
@@ -210,7 +231,8 @@ def _rho(xs, p: SeriesParams, spec, table) -> np.ndarray:
     ax = np.abs(xs)
     return _density(ax, ax, _log_weight_fn("truncated", p.L, p.m, spec, table),
                     lambda z: f_truncated_log_array(z, p.N, p.L, p.m), p.N - 1,
-                    _edges([0.0, ax, 1.0], _transition_points(ax, p)), spec)
+                    _edges([0.0, ax, 1.0], _transition_points(ax, p)), spec,
+                    stop=ax if wedge else None)
 
 
 def density_rho(x: float, p: SeriesParams, spec: QuadratureSpec | None = None,
@@ -223,15 +245,23 @@ def density_mass(p: SeriesParams, spec: QuadratureSpec | None = None,
                  table=None, return_err: bool = False):
     """Total integral of the kernel density over [-1, 1] (no parity term).
 
-    With return_err, returns (value, quadrature error estimate).
+    Taken over the wedge x >= |y| (see the module docstring):
+    E = 4 int_0^1 w(x) int_0^x [(x - y) f(x y) + (x + y) f(-x y)] w(y) dy dx,
+    where density_rho integrates y over all of (0, 1).  With return_err,
+    returns (value, quadrature error estimate).
     """
-    spec = spec or _DEFAULT_SPEC
+    total, err = _trunc_mass(p, spec or _DEFAULT_SPEC, table, wedge=True)
+    return (total, err) if return_err else total
+
+
+def _trunc_mass(p: SeriesParams, spec, table, wedge: bool) -> tuple[float, float]:
+    """density_mass's value and error; wedge=False integrates the density
+    rows instead, the route verify's wedge check compares against."""
     _check_envelope(p)
     if p.m > 1 and table is None:
         table = weight_table(p.L, p.m, spec)
     edges = sorted({0.0, 1.0} | {e for e in _regime_edges(p) if 0.0 < e < 1.0})
-    total, err = _mass(lambda xs, inner: _rho(xs, p, inner, table), edges, spec)
-    return (total, err) if return_err else total
+    return _mass(lambda xs, inner: _rho(xs, p, inner, table, wedge), edges, spec, wedge)
 
 
 def expected_real_quadrature(p: SeriesParams, spec: QuadratureSpec | None = None,
@@ -315,8 +345,9 @@ def gin_limiting_density_cdf(x: float, m: int) -> float:
     return 0.5 + math.copysign(half, x)
 
 
-def _gin_rho(ts, N: int, m: int, spec, table) -> np.ndarray:
-    """Ginibre kernel density at every entry of ts (product-scaled)."""
+def _gin_rho(ts, N: int, m: int, spec, table, wedge: bool = False) -> np.ndarray:
+    """Ginibre kernel density at every entry of ts (product-scaled), or
+    with wedge the mass's inner rows over y in (0, |t|) only."""
     if N % 2 == 1:
         raise DomainError("the Ginibre kernel formulas require even N")
     if N < 2:
@@ -329,7 +360,8 @@ def _gin_rho(ts, N: int, m: int, spec, table) -> np.ndarray:
     return _density(at, at, _log_weight_fn("ginibre", 1, m, spec, table),
                     lambda z: f_gin_log_array(z, N, m), N - 1,
                     _edges([0.0, np.minimum(at, T), T]), spec,
-                    -m * math.log(2.0 * math.sqrt(2.0 * math.pi)))
+                    -m * math.log(2.0 * math.sqrt(2.0 * math.pi)),
+                    stop=at if wedge else None)
 
 
 def gin_density_rho(t: float, N: int, m: int,
@@ -352,16 +384,23 @@ def gin_expected_real_quadrature(N: int, m: int,
                                  table=None, return_err: bool = False):
     """Expected number of real eigenvalues of the Ginibre product, even N.
 
-    With return_err, returns (value, quadrature error estimate).
+    Taken over the wedge t >= |s| of [-T, T]^2, T = _gin_cutoff(N, m), by
+    density_mass's identity; gin_density_rho integrates s over all of
+    (0, T).  With return_err, returns (value, quadrature error estimate).
     """
+    total, err = _gin_mass(N, m, spec or _DEFAULT_SPEC, table, wedge=True)
+    return (total, err) if return_err else total
+
+
+def _gin_mass(N: int, m: int, spec, table, wedge: bool) -> tuple[float, float]:
+    """gin_expected_real_quadrature's value and error; wedge=False
+    integrates the density rows instead (verify's wedge check)."""
     if N % 2 == 1:
         raise DomainError("the Ginibre kernel formulas require even N")
-    spec = spec or _DEFAULT_SPEC
     if m > 1 and table is None:
         table = weight_table(1, m, spec, kind="ginibre")
-    total, err = _mass(lambda ts, inner: _gin_rho(ts, N, m, inner, table),
-                       [0.0, N ** (m / 2.0), _gin_cutoff(N, m)], spec)
-    return (total, err) if return_err else total
+    return _mass(lambda ts, inner: _gin_rho(ts, N, m, inner, table, wedge),
+                 [0.0, N ** (m / 2.0), _gin_cutoff(N, m)], spec, wedge)
 
 
 @dataclass

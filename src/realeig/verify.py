@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactdensity import density_rho
+from .exactdensity import _DEFAULT_SPEC, _gin_mass, _trunc_mass, density_rho
 from .montecarlo import (EnsembleSpec, estimate_expected_real,
                          sample_haar_orthogonal, trial_rng)
 from .quadrature import QuadratureSpec
@@ -100,6 +100,29 @@ def _check_evenness(seed, threads):
     return CheckResult("evenness", worst <= 1e-8, f"max relative gap {worst:.2e}")
 
 
+# |wedge mass - density-row mass| <= WEDGE_K * (err_wedge + err_rows); the
+# worst measured ratio over these cases and the Tier-1 test's is 0.24
+WEDGE_K = 1.0
+
+
+def wedge_ratio(case) -> float:
+    """|gap| / (err_a + err_b) between a mass over the wedge x >= |y| and
+    the same mass over the density rows; case is (N, L, m) or
+    ("ginibre", N, m)."""
+    if case[0] == "ginibre":
+        mass = lambda wedge: _gin_mass(case[1], case[2], _DEFAULT_SPEC, None, wedge)
+    else:
+        mass = lambda wedge: _trunc_mass(SeriesParams(*case), _DEFAULT_SPEC, None, wedge)
+    (a, err_a), (b, err_b) = mass(True), mass(False)
+    return abs(a - b) / (err_a + err_b) if a != b else 0.0
+
+
+def _check_wedge(seed, threads):
+    worst = max(wedge_ratio(c) for c in ((6, 2, 1), (8, 2, 2), ("ginibre", 4, 1)))
+    return CheckResult("wedge", worst <= WEDGE_K,
+                       f"max |wedge - rows| / (err_a + err_b) = {worst:.2e} (tol {WEDGE_K:g})")
+
+
 def _check_determinism(seed, threads):
     spec = EnsembleSpec(3, 2, 1)
     runs = {estimate_expected_real(spec, 500, seed, threads=k).to_json()
@@ -118,6 +141,7 @@ _CHECKS = {
     "parity": _check_parity,
     "haar": _check_haar,
     "evenness": _check_evenness,
+    "wedge": _check_wedge,
     "determinism": _check_determinism,
 }
 

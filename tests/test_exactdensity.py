@@ -9,7 +9,7 @@ from realeig import (EnsembleKind, EnsembleSpec, QuadratureSpec, Rule,
                      density_rho, expected_real_quadrature, expected_real_sum,
                      gin_asympt_expected, gin_expected_real_quadrature,
                      gin_limiting_density, kernel_S, limiting_density)
-from realeig import exactdensity
+from realeig import exactdensity, verify
 from realeig.errors import DomainError
 from realeig.exactdensity import DensityCurve, density_mass, gin_density_rho
 from realeig.quadrature import gauss_kronrod_adaptive
@@ -145,12 +145,13 @@ def test_density_vanishes_outside_limiting_support(limit_masses):
     assert vals[-1] < 1e-4 * max(vals)
 
 
-# Series points per mass at the default spec: the fold onto y >= 0 gives
-# 48,441 and 306,086; the unfolded integral over [-1, 1] took 96,887 and
-# 550,214.  Counted through the names the benchmark's tracer wraps.
+# Series points per mass at the default spec: the wedge x >= |y| gives
+# 43,180 and 157,632; whole density rows folded onto y >= 0 took 48,441 and
+# 306,086, and the unfolded integral over [-1, 1] 96,887 and 550,214.
+# Counted through the names the benchmark's tracer wraps.
 @pytest.mark.parametrize("name,mass,bound", [
-    ("f_truncated_log_array", lambda: density_mass(SeriesParams(12, 3, 1)), 63_000),
-    ("f_gin_log_array", lambda: gin_expected_real_quadrature(8, 1), 358_000),
+    ("f_truncated_log_array", lambda: density_mass(SeriesParams(12, 3, 1)), 52_000),
+    ("f_gin_log_array", lambda: gin_expected_real_quadrature(8, 1), 190_000),
 ])
 def test_mass_series_points_stay_folded(monkeypatch, name, mass, bound):
     points = []
@@ -308,24 +309,50 @@ def test_density_curve_rejects_bad_grids():
 @pytest.mark.parametrize("case", [(6, 2, 1), (5, 1, 2), ("ginibre", 4, 1)],
                          ids=["6-2-1", "5-1-2", "ginibre-4-1"])
 def test_batched_mass_matches_pointwise_composition(case):
-    # the outer rule fed one density_rho call per node, as before batching:
-    # a batch whose rows shared or leaked state would differ in some bit
+    # the outer rule fed one call of the mass's own inner row (the wedge
+    # row over (0, x)) per node: a batch whose rows shared or leaked state
+    # would differ in some bit
     inner = QuadratureSpec(rel_tol=FAST.rel_tol * 0.3, rule=Rule.TANH_SINH)
     if case[0] == "ginibre":
         _, N, m = case
-        rho = lambda t: gin_density_rho(t, N, m, inner)
+        row = lambda t: exactdensity._gin_rho([t], N, m, inner, None, wedge=True)[0]
         edges = [0.0, N ** (m / 2.0), exactdensity._gin_cutoff(N, m)]
         batched = gin_expected_real_quadrature(N, m, FAST, return_err=True)
     else:
         p = SeriesParams(*case)
         table = weight_table(p.L, p.m, FAST) if p.m > 1 else None
-        rho = lambda x: density_rho(x, p, inner, table)
+        row = lambda x: exactdensity._rho([x], p, inner, table, wedge=True)[0]
         edges = sorted({0.0, 1.0} | {e for e in exactdensity._regime_edges(p)
                                      if 0.0 < e < 1.0})
         batched = density_mass(p, FAST, table, return_err=True)
     total, err = exactdensity._piecewise(
-        lambda xs, _: np.array([rho(float(x)) for x in xs]), [edges], FAST)
-    assert batched == (2.0 * total[0], 2.0 * err[0])
+        lambda xs, _: np.array([row(float(x)) for x in xs]), [edges], FAST)
+    assert batched == (4.0 * total[0], 4.0 * err[0])
+
+
+# The mass over the wedge x >= |y| against the same mass over whole density
+# rows (twice their integral over x >= 0), at the gate verify's wedge check
+# pins: worst measured |gap| / (err_a + err_b) is 0.24, at (8, 2, 3).  A
+# factor 2 in place of 4 misses by half the mass.  A wedge row without its
+# f(-x y) half drops the quadrants x y < 0, which hold 1.0 at even N and
+# 0.0 at odd N (measured at (6, 1, 2) and (5, 1, 2)), so the even cases
+# catch that one.
+@pytest.mark.parametrize("case", [(5, 1, 2), (8, 2, 3), (20, 20, 1), ("ginibre", 6, 2)],
+                         ids=["5-1-2", "8-2-3", "20-20-1", "ginibre-6-2"])
+def test_wedge_mass_matches_density_rows(case):
+    assert verify.wedge_ratio(case) <= verify.WEDGE_K
+
+
+def test_single_factor_l1_mass_converges():
+    # L = m = 1: wedge rows end at y = x < 1, so no inner panel ends at the
+    # (1 - y^2)^(-1/2) edge y = 1, where whole density rows stalled
+    # (NonConvergentError at N = 64).  The
+    # gap to the sum route, -1.5e-7 against err_q 5.9e-9, is the known L = 1
+    # floor of the kernel route; criterion 1's 1e-5 holds
+    q, err_q = expected_real_quadrature(SeriesParams(64, 1, 1), return_err=True)
+    s = expected_real_sum(64, 1, 1)
+    assert err_q > 0.0
+    assert abs(q - s) <= 1e-5 * max(abs(q), abs(s))
 
 
 def test_density_curve_matches_pointwise_density():
