@@ -47,25 +47,25 @@ def _save_atomic(path: Path, **arrays) -> Path:
     return path
 
 
-def _weight_path(cache_dir, kind, L, m, n, spec) -> Path:
+def _weight_path(cache_dir, kind, L, m, spec) -> Path:
     return Path(cache_dir) / (
-        f"weights_{kind}_L{L}_m{m}_n{n}_r{spec.rel_tol!r}_a{spec.abs_tol!r}"
+        f"weights_{kind}_L{L}_m{m}_r{spec.rel_tol!r}_a{spec.abs_tol!r}"
         f"_d{spec.max_depth}_v{FORMAT_VERSION}.npz")
 
 
-def save_weight_table(cache_dir, table, n, spec) -> Path:
+def save_weight_table(cache_dir, table, spec) -> Path:
     """Write a table under the name of the spec it was built with."""
     return _save_atomic(
-        _weight_path(cache_dir, table.kind, table.L, table.m, n, spec),
+        _weight_path(cache_dir, table.kind, table.L, table.m, spec),
         version=FORMAT_VERSION, L=table.L, m=table.m,
         kind=table.kind, xi_scale=table.xi_scale,
         grid=table.grid, log_values=table.log_values)
 
 
-def load_weight_table(cache_dir, kind, L, m, n, spec):
+def load_weight_table(cache_dir, kind, L, m, spec):
     from .weights import WeightTable
 
-    path = _weight_path(cache_dir, kind, L, m, n, spec)
+    path = _weight_path(cache_dir, kind, L, m, spec)
     if not path.exists():
         return None
     try:

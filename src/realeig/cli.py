@@ -138,15 +138,14 @@ def _quad_spec(args, default_rel=3e-9):
     return QuadratureSpec(rel_tol=rel, abs_tol=args.abs_tol)
 
 
-def _weight_table(args, spec, ginibre):
-    """The weight of the requested ensemble, disk-cached when it is a
-    convolution table; None at m = 1."""
-    if args.m == 1:
-        return None
-    cdir = cache.resolve_cache_dir(args.cache_dir)
-    if ginibre:
-        return weight_table(1, args.m, spec, kind="ginibre", cache_dir=cdir)
-    return weight_table(args.L, args.m, spec, cache_dir=cdir)
+def _load_weight(args, ginibre):
+    """Load the requested ensemble's weight (m > 1) into the registry, where
+    the kernel routes read it: from the disk cache, or built and saved
+    there."""
+    if args.m > 1:
+        cdir = cache.resolve_cache_dir(args.cache_dir)
+        weight_table(1 if ginibre else args.L, args.m,
+                     kind="ginibre" if ginibre else "truncated", cache_dir=cdir)
 
 
 def _gj_table(args, L, j_max):
@@ -198,7 +197,11 @@ def cmd_expected(args) -> int:
     if bad:
         raise UsageError(f"unknown methods: {sorted(bad)}")
     kind, L = _ensemble(args)
+    ensemble = EnsembleSpec(args.N, L, args.m, kind)
     ginibre = kind is EnsembleKind.REAL_GINIBRE
+    if ginibre and "sum" in methods:
+        raise UsageError("the sum route applies to the truncated-orthogonal "
+                         "ensemble only")
     t0 = time.time()
     spec = _quad_spec(args)
     report = ComparisonReport(rows=[], config=_config_dict(args), seed=args.seed)
@@ -206,23 +209,19 @@ def cmd_expected(args) -> int:
     errs = {}
     for method in methods:
         if method == "quadrature":
-            table = _weight_table(args, spec, ginibre)
+            _load_weight(args, ginibre)
             if ginibre:
                 values[method], errs[method] = gin_expected_real_quadrature(
-                    args.N, args.m, spec, table, return_err=True)
+                    args.N, args.m, spec, return_err=True)
             else:
                 values[method], errs[method] = expected_real_quadrature(
-                    SeriesParams(args.N, L, args.m), spec, table, return_err=True)
+                    SeriesParams(args.N, L, args.m), spec, return_err=True)
         elif method == "sum":
-            if ginibre:
-                raise UsageError("the sum route applies to the truncated-"
-                                 "orthogonal ensemble only")
             values[method], errs[method] = expected_real_sum(
                 args.N, L, args.m, table=_gj_table(args, L, args.N - 2),
                 threads=args.threads, return_err=True)
         elif method == "montecarlo":
-            est = estimate_expected_real(EnsembleSpec(args.N, L, args.m, kind),
-                                         args.trials, args.seed, args.threads)
+            est = estimate_expected_real(ensemble, args.trials, args.seed, args.threads)
             values[method] = est.mean
             errs[method] = est.stderr
         else:
@@ -286,8 +285,8 @@ def cmd_density(args) -> int:
         alpha_t = 1.0 / (1.0 + L / args.N)
         cdf = lambda x: limiting_density_cdf(x, m, alpha_t)
     ensemble = EnsembleSpec(args.N, L, m, kind)
-    exact = build_density_curve(ensemble, mids, spec, normalized=True,
-                                table=_weight_table(args, spec, ginibre)).values
+    _load_weight(args, ginibre)
+    exact = build_density_curve(ensemble, mids, spec, normalized=True).values
     # the limit column carries cell averages (bin mass / width) so that it
     # is directly comparable to the histogram column and its trapezoid sum
     # reproduces unit mass despite the jump at the support edge

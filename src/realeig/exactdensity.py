@@ -44,6 +44,7 @@ from .montecarlo import EnsembleKind, EnsembleSpec
 # perfbench's tracer wraps the names this module holds
 from .quadrature import QuadratureSpec, tanh_sinh_adaptive, tanh_sinh_batch  # noqa: F401
 from .series import SeriesParams, f_gin_log_array, f_truncated_log_array
+# every weight is read through these two names, which the tracer wraps here
 from .weights import _log_base_array, weight_table
 
 _DEFAULT_SPEC = QuadratureSpec(rel_tol=3e-9, abs_tol=0.0, max_depth=16)
@@ -64,15 +65,14 @@ def _check_envelope(p: SeriesParams) -> None:
             "alternating-sum or simulation routes at this size.")
 
 
-def _log_weight_fn(kind: str, L: int, m: int, spec, table):
-    """Vectorized ln w_m for the "truncated" or "ginibre" weight kind."""
+def _log_weight_fn(kind: str, L: int, m: int):
+    """Vectorized ln w_m for the "truncated" or "ginibre" weight kind: the
+    one weight of (kind, L, m), whatever the caller's tolerance."""
     if m == 1:
         if kind == "ginibre":
             return lambda t: -0.5 * np.asarray(t, dtype=float) ** 2
         return lambda y: _log_base_array(y, L)
-    if table is None:
-        table = weight_table(L, m, spec, kind=kind)
-    return table.log_weight
+    return weight_table(L, m, kind=kind).log_weight
 
 
 def _chunked(fn, y, row, n_terms: int):
@@ -202,7 +202,7 @@ def _edges(fixed, extra=None) -> np.ndarray:
 
 
 def kernel_S(x1: float, x2: float, p: SeriesParams,
-             spec: QuadratureSpec | None = None, table=None) -> float:
+             spec: QuadratureSpec | None = None) -> float:
     """Kernel entry S(x1, x2); S(x, x) is the one-point density."""
     spec = spec or _DEFAULT_SPEC
     _check_envelope(p)
@@ -212,13 +212,13 @@ def kernel_S(x1: float, x2: float, p: SeriesParams,
     if p.m > 1 and x1 == 0.0:
         raise DomainError("x1 = 0 is singular for m > 1")
     return float(_density(np.array([float(x1)]), np.array([float(x2)]),
-                          _log_weight_fn("truncated", p.L, p.m, spec, table),
+                          _log_weight_fn("truncated", p.L, p.m),
                           lambda z: f_truncated_log_array(z, p.N, p.L, p.m), p.N - 1,
                           _edges([0.0, abs(float(x2)), 1.0], _transition_points(x1, p)),
                           spec)[0])
 
 
-def _rho(xs, p: SeriesParams, spec, table, wedge: bool = False) -> np.ndarray:
+def _rho(xs, p: SeriesParams, spec, wedge: bool = False) -> np.ndarray:
     """Truncated-model density at every entry of xs, or with wedge the
     mass's inner rows: the same integrand over y in (0, |x|) only."""
     _check_envelope(p)
@@ -229,20 +229,19 @@ def _rho(xs, p: SeriesParams, spec, table, wedge: bool = False) -> np.ndarray:
     if p.m > 1 and (xs == 0.0).any():
         raise DomainError("x = 0 is singular for m > 1")
     ax = np.abs(xs)
-    return _density(ax, ax, _log_weight_fn("truncated", p.L, p.m, spec, table),
+    return _density(ax, ax, _log_weight_fn("truncated", p.L, p.m),
                     lambda z: f_truncated_log_array(z, p.N, p.L, p.m), p.N - 1,
                     _edges([0.0, ax, 1.0], _transition_points(ax, p)), spec,
                     stop=ax if wedge else None)
 
 
-def density_rho(x: float, p: SeriesParams, spec: QuadratureSpec | None = None,
-                table=None) -> float:
+def density_rho(x: float, p: SeriesParams, spec: QuadratureSpec | None = None) -> float:
     """One-point density of real eigenvalues at x (even in x)."""
-    return float(_rho([x], p, spec or _DEFAULT_SPEC, table)[0])
+    return float(_rho([x], p, spec or _DEFAULT_SPEC)[0])
 
 
 def density_mass(p: SeriesParams, spec: QuadratureSpec | None = None,
-                 table=None, return_err: bool = False):
+                 return_err: bool = False):
     """Total integral of the kernel density over [-1, 1] (no parity term).
 
     Taken over the wedge x >= |y| (see the module docstring):
@@ -250,29 +249,27 @@ def density_mass(p: SeriesParams, spec: QuadratureSpec | None = None,
     where density_rho integrates y over all of (0, 1).  With return_err,
     returns (value, quadrature error estimate).
     """
-    total, err = _trunc_mass(p, spec or _DEFAULT_SPEC, table, wedge=True)
+    total, err = _trunc_mass(p, spec or _DEFAULT_SPEC, wedge=True)
     return (total, err) if return_err else total
 
 
-def _trunc_mass(p: SeriesParams, spec, table, wedge: bool) -> tuple[float, float]:
+def _trunc_mass(p: SeriesParams, spec, wedge: bool) -> tuple[float, float]:
     """density_mass's value and error; wedge=False integrates the density
     rows instead, the route verify's wedge check compares against."""
     _check_envelope(p)
-    if p.m > 1 and table is None:
-        table = weight_table(p.L, p.m, spec)
     edges = sorted({0.0, 1.0} | {e for e in _regime_edges(p) if 0.0 < e < 1.0})
-    return _mass(lambda xs, inner: _rho(xs, p, inner, table, wedge), edges, spec, wedge)
+    return _mass(lambda xs, inner: _rho(xs, p, inner, wedge), edges, spec, wedge)
 
 
 def expected_real_quadrature(p: SeriesParams, spec: QuadratureSpec | None = None,
-                             table=None, return_err: bool = False):
+                             return_err: bool = False):
     """Expected number of real eigenvalues via the density integral.
 
     Odd N receives the simulation-verified +1 for the unpaired real
     eigenvalue; see the module docstring.  With return_err, returns (value,
     quadrature error estimate).
     """
-    total, err = density_mass(p, spec, table, return_err=True)
+    total, err = density_mass(p, spec, return_err=True)
     if p.N % 2 == 1:
         total += 1.0
     return (total, err) if return_err else total
@@ -345,7 +342,7 @@ def gin_limiting_density_cdf(x: float, m: int) -> float:
     return 0.5 + math.copysign(half, x)
 
 
-def _gin_rho(ts, N: int, m: int, spec, table, wedge: bool = False) -> np.ndarray:
+def _gin_rho(ts, N: int, m: int, spec, wedge: bool = False) -> np.ndarray:
     """Ginibre kernel density at every entry of ts (product-scaled), or
     with wedge the mass's inner rows over y in (0, |t|) only."""
     if N % 2 == 1:
@@ -357,7 +354,7 @@ def _gin_rho(ts, N: int, m: int, spec, table, wedge: bool = False) -> np.ndarray
         raise DomainError("t = 0 is singular for m > 1")
     at = np.abs(ts)
     T = _gin_cutoff(N, m)
-    return _density(at, at, _log_weight_fn("ginibre", 1, m, spec, table),
+    return _density(at, at, _log_weight_fn("ginibre", 1, m),
                     lambda z: f_gin_log_array(z, N, m), N - 1,
                     _edges([0.0, np.minimum(at, T), T]), spec,
                     -m * math.log(2.0 * math.sqrt(2.0 * math.pi)),
@@ -365,13 +362,13 @@ def _gin_rho(ts, N: int, m: int, spec, table, wedge: bool = False) -> np.ndarray
 
 
 def gin_density_rho(t: float, N: int, m: int,
-                    spec: QuadratureSpec | None = None, table=None) -> float:
+                    spec: QuadratureSpec | None = None) -> float:
     """Kernel density for Ginibre products in the product-scaled variable t.
 
     The density of scaled real eigenvalues x = t N^(-m/2) is
     N^(m/2) * gin_density_rho(N^(m/2) x).  Even N only.
     """
-    return float(_gin_rho([t], N, m, spec or _DEFAULT_SPEC, table)[0])
+    return float(_gin_rho([t], N, m, spec or _DEFAULT_SPEC)[0])
 
 
 def _gin_cutoff(N: int, m: int) -> float:
@@ -381,25 +378,23 @@ def _gin_cutoff(N: int, m: int) -> float:
 
 def gin_expected_real_quadrature(N: int, m: int,
                                  spec: QuadratureSpec | None = None,
-                                 table=None, return_err: bool = False):
+                                 return_err: bool = False):
     """Expected number of real eigenvalues of the Ginibre product, even N.
 
     Taken over the wedge t >= |s| of [-T, T]^2, T = _gin_cutoff(N, m), by
     density_mass's identity; gin_density_rho integrates s over all of
     (0, T).  With return_err, returns (value, quadrature error estimate).
     """
-    total, err = _gin_mass(N, m, spec or _DEFAULT_SPEC, table, wedge=True)
+    total, err = _gin_mass(N, m, spec or _DEFAULT_SPEC, wedge=True)
     return (total, err) if return_err else total
 
 
-def _gin_mass(N: int, m: int, spec, table, wedge: bool) -> tuple[float, float]:
+def _gin_mass(N: int, m: int, spec, wedge: bool) -> tuple[float, float]:
     """gin_expected_real_quadrature's value and error; wedge=False
     integrates the density rows instead (verify's wedge check)."""
     if N % 2 == 1:
         raise DomainError("the Ginibre kernel formulas require even N")
-    if m > 1 and table is None:
-        table = weight_table(1, m, spec, kind="ginibre")
-    return _mass(lambda ts, inner: _gin_rho(ts, N, m, inner, table, wedge),
+    return _mass(lambda ts, inner: _gin_rho(ts, N, m, inner, wedge),
                  [0.0, N ** (m / 2.0), _gin_cutoff(N, m)], spec, wedge)
 
 
@@ -445,7 +440,7 @@ class DensityCurve:
 
 
 def build_density_curve(ensemble: EnsembleSpec, xs, spec: QuadratureSpec | None = None,
-                        normalized: bool = True, table=None) -> DensityCurve:
+                        normalized: bool = True) -> DensityCurve:
     """Evaluate the exact (normalized) density on a grid in one batched pass.
 
     Ginibre curves are in the scaled variable x = t N^(-m/2).
@@ -455,12 +450,12 @@ def build_density_curve(ensemble: EnsembleSpec, xs, spec: QuadratureSpec | None 
     N, m = ensemble.N, ensemble.m
     if ensemble.kind is EnsembleKind.TRUNCATED_ORTHOGONAL:
         p = SeriesParams(N, ensemble.L, m)
-        mass = density_mass(p, spec, table) if normalized else 1.0
-        vals = _rho(xs, p, spec, table)
+        mass = density_mass(p, spec) if normalized else 1.0
+        vals = _rho(xs, p, spec)
     else:
         scale = N ** (m / 2.0)
-        mass = gin_expected_real_quadrature(N, m, spec, table) if normalized else 1.0
-        vals = scale * _gin_rho(xs * scale, N, m, spec, table)
+        mass = gin_expected_real_quadrature(N, m, spec) if normalized else 1.0
+        vals = scale * _gin_rho(xs * scale, N, m, spec)
     values = np.asarray(vals, dtype=float) / mass
     meta = {"rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol,
             "rule": spec.rule.value, "mass": mass}

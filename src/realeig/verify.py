@@ -40,8 +40,9 @@ def _check_gaussian_bound(seed, threads):
 
 
 def _check_mass(seed, threads):
-    worst = max(_mass_check(weight_table(L, m), DEFAULT_SPEC)
-                for (L, m) in ((1, 2), (2, 2), (3, 2), (2, 3)))
+    tables = [weight_table(L, m) for (L, m) in ((1, 2), (2, 2), (3, 2), (2, 3))]
+    tables.append(weight_table(1, 3, kind="ginibre"))
+    worst = max(_mass_check(t, DEFAULT_SPEC) for t in tables)
     return CheckResult("mass", worst <= 1e-6, f"max relative mass gap {worst:.2e}")
 
 
@@ -110,9 +111,9 @@ def wedge_ratio(case) -> float:
     the same mass over the density rows; case is (N, L, m) or
     ("ginibre", N, m)."""
     if case[0] == "ginibre":
-        mass = lambda wedge: _gin_mass(case[1], case[2], _DEFAULT_SPEC, None, wedge)
+        mass = lambda wedge: _gin_mass(case[1], case[2], _DEFAULT_SPEC, wedge)
     else:
-        mass = lambda wedge: _trunc_mass(SeriesParams(*case), _DEFAULT_SPEC, None, wedge)
+        mass = lambda wedge: _trunc_mass(SeriesParams(*case), _DEFAULT_SPEC, wedge)
     (a, err_a), (b, err_b) = mass(True), mass(False)
     return abs(a - b) / (err_a + err_b) if a != b else 0.0
 

@@ -11,13 +11,15 @@ Two factors have a closed form (TwoFactorWeight): a Gauss hypergeometric
 function for the truncated weight at L <= _MAX_EXACT_L, and 2 K_0(|t|) for
 Ginibre.  weight_table(L, 2) returns it and builds nothing.
 
-Every other level is a convolution table, built once per (L, m) from the
-highest exact level below it (w_2 where it exists, else the base weight),
-on a Chebyshev grid in the variable xi = |x|^(1/m).  There the |x|^(1/m - 1)
-blow-up at zero becomes polynomial, and the truncated weight vanishes at
-xi = 1 like (1 - xi^2)^(mL/2 - 1).  A cubic spline cannot follow that
-factor's log singularity near xi = 1, so the spline interpolates ln w minus
-(mL/2 - 1) ln(1 - xi^2) and log_weight adds the factor back.
+Every other level is a convolution table, built once per (kind, L, m)
+from the highest exact level below it (w_2 where it exists, else the base
+weight), on a Chebyshev grid in the variable xi = |x|^(1/m).  There the
+|x|^(1/m - 1) blow-up at zero becomes polynomial, and the truncated weight
+vanishes at xi = 1 like (1 - xi^2)^(mL/2 - 1).  A cubic spline cannot
+follow that factor's log singularity near xi = 1, so the spline
+interpolates ln w minus (mL/2 - 1) ln(1 - xi^2) and log_weight adds the
+factor back.  The routes and checks share the one table of (kind, L, m),
+built at DEFAULT_SPEC whatever tolerance they integrate to.
 """
 from __future__ import annotations
 
@@ -360,7 +362,10 @@ def _convolve_level(xs, L: int, level: int, prev_logw, spec: QuadratureSpec,
     a = np.column_stack([lo, mid]).ravel()
     b = np.column_stack([mid, hi]).ravel()
     try:
-        values = tanh_sinh_batch(f, a, b, spec.abs_tol, spec)[0]
+        # an integrand past double range leaves a non-finite node total,
+        # which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = tanh_sinh_batch(f, a, b, spec.abs_tol, spec)[0]
     except NonConvergentError as exc:
         # double-precision floor of singular endpoints / interpolated
         # integrands; the mass identity certifies the table end to end
@@ -381,10 +386,12 @@ def _convolve_level(xs, L: int, level: int, prev_logw, spec: QuadratureSpec,
                      "estimate %r", L, kind, level, len(failed), float(row_x[w]),
                      float(a[w]), float(b[w]), float(values[w]), float(errs[w]))
     out = np.empty(xs.shape)
-    for i, (v1, v2) in enumerate(values.reshape(-1, 2)):
+    for i, (v1, v2) in enumerate(values.reshape(-1, 2).tolist()):
         total = v1 + v2
-        if total <= 0.0:
-            raise NonConvergentError(f"non-positive convolution value at x={xs[i]}")
+        if not 0.0 < total < math.inf:
+            raise NonConvergentError(f"weight convolution (L={L}, {kind}) level {level} at "
+                                     f"x={float(xs[i])!r}: total {total!r} is not "
+                                     "a finite positive number")
         out[i] = scale[i] + math.log(total)
     return out
 
@@ -428,14 +435,15 @@ def _mass_check(table: WeightTable, spec: QuadratureSpec) -> float:
 
 
 def weight_table(L: int, m: int, spec: QuadratureSpec | None = None,
-                 n: int = DEFAULT_GRID_SIZE, kind: str = "truncated",
-                 cache_dir=None) -> WeightTable | TwoFactorWeight:
+                 kind: str = "truncated", cache_dir=None) -> WeightTable | TwoFactorWeight:
     """The m-factor weight for (L, m), m >= 2: the exact TwoFactorWeight
     where it exists, else a convolution table, built or fetched.
 
-    A table's grid is doubled until the analytic mass identity holds to
-    1e-6.  Tables are cached in-process and, when cache_dir is given, on
-    disk, keyed by the parameters and by the spec's tolerances and depth.
+    A table's grid starts at DEFAULT_GRID_SIZE nodes and doubles until the
+    analytic mass identity holds to 1e-6.  spec (default DEFAULT_SPEC, which
+    every route and check uses) is the convolution's quadrature.  Tables are
+    cached in-process and, with cache_dir, on disk, keyed by (kind, L, m)
+    and the spec's tolerances and depth.
     """
     _check_L(L)
     _check_m(m)
@@ -444,14 +452,14 @@ def weight_table(L: int, m: int, spec: QuadratureSpec | None = None,
     if m == 2 and _has_two_factor(L, kind):
         return TwoFactorWeight(L, kind)
     spec = spec or DEFAULT_SPEC
-    key = (kind, L, m, n, spec.rel_tol, spec.abs_tol, spec.max_depth)
+    key = (kind, L, m, spec.rel_tol, spec.abs_tol, spec.max_depth)
     # held across the build, so concurrent callers build each key once
     with _registry_lock:
         table = _registry.get(key)
         if table is None and cache_dir is not None:
-            table = cache.load_weight_table(cache_dir, kind, L, m, n, spec)
+            table = cache.load_weight_table(cache_dir, kind, L, m, spec)
         if table is None:
-            size = n
+            size = DEFAULT_GRID_SIZE
             while True:
                 table = _build_table(L, m, size, spec, kind)
                 gap = _mass_check(table, spec)
@@ -462,13 +470,12 @@ def weight_table(L: int, m: int, spec: QuadratureSpec | None = None,
                         f"weight table mass identity off by {gap:.2e} at grid {size}")
                 size *= 2
             if cache_dir is not None:
-                cache.save_weight_table(cache_dir, table, n, spec)
+                cache.save_weight_table(cache_dir, table, spec)
         _registry[key] = table
     return table
 
 
-def weight_product(x: float, L: int, m: int, spec: QuadratureSpec | None = None,
-                   table: WeightTable | None = None) -> SignedLogValue:
+def weight_product(x: float, L: int, m: int) -> SignedLogValue:
     """m-factor weight at x as a SignedLogValue; signaling infinity at x=0, m>1."""
     _check_L(L)
     _check_m(m)
@@ -478,9 +485,7 @@ def weight_product(x: float, L: int, m: int, spec: QuadratureSpec | None = None,
         return weight_base(x, L)
     if x == 0.0:
         return SignedLogValue.from_log(1, math.inf)
-    if table is None:
-        table = weight_table(L, m, spec)
-    lw = float(table.log_weight(np.array([x]))[0])
+    lw = float(weight_table(L, m).log_weight(np.array([x]))[0])
     if lw == -math.inf:
         return SignedLogValue(0, -math.inf)
     return SignedLogValue.from_log(1, lw)
@@ -500,8 +505,7 @@ def weight_asymptotic(x: float, L: int, m: int) -> SignedLogValue:
     return SignedLogValue.from_log(1, lw)
 
 
-def ginibre_weight(t: float, m: int, spec: QuadratureSpec | None = None,
-                   table: WeightTable | None = None) -> SignedLogValue:
+def ginibre_weight(t: float, m: int) -> SignedLogValue:
     """Unnormalized density of a product of m standard Gaussians at t."""
     _check_m(m)
     if not math.isfinite(t):
@@ -510,9 +514,8 @@ def ginibre_weight(t: float, m: int, spec: QuadratureSpec | None = None,
         return SignedLogValue.from_log(1, -0.5 * t * t)
     if t == 0.0:
         return SignedLogValue.from_log(1, math.inf)
-    if table is None:
-        table = weight_table(1, m, spec, kind="ginibre")
-    return SignedLogValue.from_log(1, float(table.log_weight(np.array([t]))[0]))
+    lw = float(weight_table(1, m, kind="ginibre").log_weight(np.array([t]))[0])
+    return SignedLogValue.from_log(1, lw)
 
 
 def ginibre_weight_asymptotic(x: float, N: int, m: int) -> SignedLogValue:
@@ -527,24 +530,24 @@ def ginibre_weight_asymptotic(x: float, N: int, m: int) -> SignedLogValue:
     return SignedLogValue.from_log(1, lw)
 
 
-def mellin_weight_crosscheck(L: int, m: int, points, spec: QuadratureSpec | None = None,
-                             table: WeightTable | None = None) -> float:
+def mellin_weight_crosscheck(L: int, m: int, points,
+                             spec: QuadratureSpec | None = None) -> float:
     """Independent check of the weights via Mellin inversion.
 
     The Mellin transform of w_m restricted to (0, 1) is
     (1/2) * (c^(1/2) B(s/2, L/2))^m with c = L / (2 B(L/2, 1/2)); inverting
-    it on a vertical line must reproduce the table (by default
-    weight_table(L, m): the closed form at m = 2, else a convolution table).  Returns the maximum relative deviation over the
-    probe points.  Requires m*L >= 4 so the line integral converges
-    comfortably; spec is its tolerance.  contour_line_integral integrates in
-    Im s directly, so the x^{-s} oscillation stays resolvable.
+    it on a vertical line must reproduce weight_table(L, m), the weight the
+    routes read: the closed form at m = 2, else a convolution table.
+    Returns the maximum relative deviation over the probe points.  Requires
+    m*L >= 4 so the line integral converges comfortably; spec is its
+    tolerance.  contour_line_integral integrates in Im s directly, so the
+    x^{-s} oscillation stays resolvable.
     """
     _check_L(L)
     _check_m(m)
     if m * L < 4:
         raise DomainError("Mellin cross-check needs m*L >= 4 for line-decay")
-    if table is None:
-        table = weight_table(L, m)
+    table = weight_table(L, m)
     # verification path: the oscillatory tail makes 1e-6 the practical ask
     spec = spec or QuadratureSpec(rel_tol=1e-6)
     log_c_half = log_base_prefactor(L)

@@ -21,8 +21,8 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, kind):
     spec = weights.DEFAULT_SPEC
     if kind == "weights":
         old, new = _weight_table(1.0), _weight_table(2.0)
-        save = lambda t: cache.save_weight_table(tmp_path, t, 9, spec)
-        load = lambda: cache.load_weight_table(tmp_path, "truncated", 2, 2, 9, spec).log_values
+        save = lambda t: cache.save_weight_table(tmp_path, t, spec)
+        load = lambda: cache.load_weight_table(tmp_path, "truncated", 2, 2, spec).log_values
         want = old.log_values
     else:
         old, new = _gj_table(6), _gj_table(12)
@@ -50,11 +50,11 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, kind):
 def test_weight_table_file_with_interp_order_still_loads(tmp_path):
     table = _weight_table(1.0)
     spec = weights.DEFAULT_SPEC
-    path = cache.save_weight_table(tmp_path, table, 9, spec)
+    path = cache.save_weight_table(tmp_path, table, spec)
     with np.load(path) as data:
         arrays = dict(data)
     # files written before the dead interp_order field was dropped carry it
     np.savez_compressed(path, interp_order=3, **arrays)
-    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 2, 9, spec)
+    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 2, spec)
     assert np.array_equal(loaded.log_values, table.log_values)
     assert np.array_equal(loaded.log_weight([0.25, 0.5]), table.log_weight([0.25, 0.5]))

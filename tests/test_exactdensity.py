@@ -14,7 +14,7 @@ from realeig.errors import DomainError
 from realeig.exactdensity import DensityCurve, density_mass, gin_density_rho
 from realeig.quadrature import gauss_kronrod_adaptive
 from realeig.series import f_gin_log_array, f_truncated_log_array
-from realeig.weights import _log_base_array, weight_table
+from realeig.weights import _log_base_array
 from conftest import SEED
 
 FAST = QuadratureSpec(rel_tol=1e-8, rule=Rule.TANH_SINH)
@@ -315,16 +315,15 @@ def test_batched_mass_matches_pointwise_composition(case):
     inner = QuadratureSpec(rel_tol=FAST.rel_tol * 0.3, rule=Rule.TANH_SINH)
     if case[0] == "ginibre":
         _, N, m = case
-        row = lambda t: exactdensity._gin_rho([t], N, m, inner, None, wedge=True)[0]
+        row = lambda t: exactdensity._gin_rho([t], N, m, inner, wedge=True)[0]
         edges = [0.0, N ** (m / 2.0), exactdensity._gin_cutoff(N, m)]
         batched = gin_expected_real_quadrature(N, m, FAST, return_err=True)
     else:
         p = SeriesParams(*case)
-        table = weight_table(p.L, p.m, FAST) if p.m > 1 else None
-        row = lambda x: exactdensity._rho([x], p, inner, table, wedge=True)[0]
+        row = lambda x: exactdensity._rho([x], p, inner, wedge=True)[0]
         edges = sorted({0.0, 1.0} | {e for e in exactdensity._regime_edges(p)
                                      if 0.0 < e < 1.0})
-        batched = density_mass(p, FAST, table, return_err=True)
+        batched = density_mass(p, FAST, return_err=True)
     total, err = exactdensity._piecewise(
         lambda xs, _: np.array([row(float(x)) for x in xs]), [edges], FAST)
     assert batched == (4.0 * total[0], 4.0 * err[0])
@@ -371,15 +370,13 @@ def test_small_series_chunks_change_no_bit(monkeypatch, case):
     if case[0] == "ginibre":
         _, N, m = case
         ens = EnsembleSpec(N, 0, m, EnsembleKind.REAL_GINIBRE)
-        table = None
         mass = lambda: gin_expected_real_quadrature(N, m, FAST, return_err=True)
     else:
         p = SeriesParams(*case)
         ens = EnsembleSpec(*case)
-        table = weight_table(p.L, p.m, FAST) if p.m > 1 else None
-        mass = lambda: density_mass(p, FAST, table, return_err=True)
+        mass = lambda: density_mass(p, FAST, return_err=True)
     curve = lambda: build_density_curve(ens, np.linspace(-0.95, 0.95, 24), FAST,
-                                        normalized=False, table=table).values
+                                        normalized=False).values
     want = mass(), curve()
     monkeypatch.setattr(exactdensity, "_CHUNK_BYTES", 4096)
     got = mass(), curve()

@@ -330,3 +330,49 @@ def test_cli_expected_sum_uses_gj_cache_and_rel_tol(tmp_path, monkeypatch):
     want = expected_real_sum(12, 2, 1, rel_tol=1e-8, return_err=True)
     assert rows()[0][2:] == want
     assert real_load(tight, 2, 1, 1e-8).rel_tol == 1e-8
+
+
+def test_cli_expected_rejects_ginibre_sum_before_any_method(monkeypatch):
+    # the sum route is truncated-only: a Ginibre request for it is a usage
+    # error before the Monte Carlo method runs a single trial
+    from realeig import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the method list was checked")
+
+    monkeypatch.setattr(cli, "estimate_expected_real", never)
+    assert main(["expected", "--ensemble", "real-ginibre", "--N", "4",
+                 "--methods", "montecarlo,sum"]) == 4
+
+
+def test_cli_ginibre_four_factor_weight_exits_nonconvergent(tmp_path, monkeypatch):
+    # the level-4 Ginibre convolution leaves double range: exit 3, not 4
+    from realeig import weights
+
+    monkeypatch.setattr(weights, "_registry", {})
+    assert main(["expected", "--ensemble", "real-ginibre", "--N", "4", "--m", "4",
+                 "--methods", "quadrature", "--cache-dir", str(tmp_path),
+                 "--out", str(tmp_path / "e.csv")]) == 3
+
+
+def test_cli_warm_expected_loads_the_weight_and_builds_nothing(tmp_path, monkeypatch):
+    # a cold run builds the (2, 3) weight at its one spec and saves it; a
+    # warm run with an empty registry loads it from --cache-dir, and the
+    # route reads the loaded table
+    from realeig import weights
+
+    argv = ["expected", "--N", "4", "--L", "2", "--m", "3", "--methods", "quadrature",
+            "--cache-dir", str(tmp_path), "--out", str(tmp_path / "e.csv")]
+    monkeypatch.setattr(weights, "_registry", {})
+    rows = lambda: ComparisonReport.from_csv_text((tmp_path / "e.csv").read_text()).rows
+    assert main(argv) == 0
+    cold = rows()
+    assert len(list(tmp_path.glob("weights_truncated_L2_m3_*.npz"))) == 1
+    builds = []
+    real_build = weights._build_table
+    monkeypatch.setattr(weights, "_build_table",
+                        lambda *a: builds.append(a) or real_build(*a))
+    monkeypatch.setattr(weights, "_registry", {})
+    assert main(argv) == 0
+    assert builds == []
+    assert rows() == cold

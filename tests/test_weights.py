@@ -91,16 +91,14 @@ def test_weight_table_disk_cache_round_trip(tmp_path):
 
     table = weight_table(2, 3)
     spec = weights.DEFAULT_SPEC
-    path = cache.save_weight_table(tmp_path, table, table.grid.size, spec)
+    path = cache.save_weight_table(tmp_path, table, spec)
     assert path.exists()
-    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 3,
-                                     table.grid.size, spec)
+    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 3, spec)
     assert loaded is not None
     assert np.array_equal(loaded.log_values, table.log_values)
     assert np.array_equal(loaded.grid, table.grid)
     assert loaded.kind == table.kind
-    assert cache.load_weight_table(tmp_path, "truncated", 9, 9, 512,
-                                   spec) is None
+    assert cache.load_weight_table(tmp_path, "truncated", 9, 9, spec) is None
 
 
 def test_weight_table_keyed_by_spec(tmp_path):
@@ -113,10 +111,9 @@ def test_weight_table_keyed_by_spec(tmp_path):
     assert other is not table
     assert not np.array_equal(other.log_values, table.log_values)
     assert weight_table(2, 3, QuadratureSpec(rel_tol=1e-3, rule=Rule.TANH_SINH)) is table
-    n = table.grid.size
-    cache.save_weight_table(tmp_path, table, n, loose)
-    assert cache.load_weight_table(tmp_path, "truncated", 2, 3, n, tight) is None
-    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 3, n, loose)
+    cache.save_weight_table(tmp_path, table, loose)
+    assert cache.load_weight_table(tmp_path, "truncated", 2, 3, tight) is None
+    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 3, loose)
     assert np.array_equal(loaded.log_values, table.log_values)
 
 
@@ -598,3 +595,29 @@ def test_log_weight_beyond_the_edge_is_warning_free(L, m):
         assert np.isfinite(edge[0])
     else:
         assert edge[0] == -np.inf
+
+
+def test_routes_and_checks_share_one_table(monkeypatch):
+    # the mass route at its own tolerance (3e-9), the verify battery and
+    # the Mellin check all read the one (truncated, 2, 3) weight; when the
+    # route built its table at the caller's spec there were two
+    from realeig import SeriesParams
+    from realeig.exactdensity import density_mass
+    from realeig.verify import run_verify
+
+    monkeypatch.setattr(weights, "_registry", {})
+    density_mass(SeriesParams(8, 2, 3))
+    assert all(r.passed for r in run_verify(only=["mass"]))
+    mellin_weight_crosscheck(2, 3, [0.25, 0.5])
+    spec = weights.DEFAULT_SPEC
+    assert [k for k in weights._registry if k[:3] == ("truncated", 2, 3)] == [
+        ("truncated", 2, 3, spec.rel_tol, spec.abs_tol, spec.max_depth)]
+
+
+def test_ginibre_four_factor_overflow_is_nonconvergence(monkeypatch):
+    # level 4 of the Ginibre weight leaves double range in its panels
+    # (values near 1.7e47 against the midpoint scale) and some node totals
+    # come out infinite: a typed non-convergence, with no RuntimeWarning
+    monkeypatch.setattr(weights, "_registry", {})
+    with pytest.raises(NonConvergentError, match="not a finite positive number"):
+        weight_table(1, 4, kind="ginibre")
