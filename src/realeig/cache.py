@@ -62,6 +62,10 @@ def save_weight_table(cache_dir, table, spec) -> Path:
         grid=table.grid, log_values=table.log_values)
 
 
+def has_weight_table(cache_dir, kind, L, m, spec) -> bool:
+    return _weight_path(cache_dir, kind, L, m, spec).exists()
+
+
 def load_weight_table(cache_dir, kind, L, m, spec):
     from .weights import WeightTable
 

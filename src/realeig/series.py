@@ -4,16 +4,18 @@ The central objects are the truncated sum
     f_trunc(x) = sum_{n=0}^{N-2} C(L+n, n)^m x^n,
 its infinite-series completion, the Ginibre analogues with 1/(n!)^m
 coefficients, and asymptotic/decomposition approximations used to study
-them.  Terms are built in log space and summed in (rescaled) linear space
-by compensated scans (running sums with TwoSum errors).  The scalar entry
-points scan in term order and also compute the noise floors, and their
+them.  Terms are built in log space and summed in (rescaled) linear space.
+The scalar entry points sum in term order by a compensated scan (running
+sums with TwoSum errors) and also compute the noise floors, and their
 cancellation guard flags alternating cancellation once it can contaminate
 the result.  The vectorized sums f_truncated_log_array and f_gin_log_array
 compute no floors and return (M, v, v_mirror) with f(z) = e^M v and
 f(-z) = e^M v_mirror: the terms of f(z) and f(-z) share their magnitudes,
-so one term matrix is scanned as its even rows and its odd rows, and the
-two scans are joined with one TwoSum per sign (Ogita, Rump and Oishi's
-Sum2 bound holds in any term order).
+so one term matrix is summed as its even rows and its odd rows, each a
+plain sum of positive terms.  Such a sum of k terms is off by at most
+(k - 1) eps relative (Higham, Accuracy and Stability of Numerical
+Algorithms, 4.2), below the rounding of the log-gamma coefficients, so
+compensation would buy no digits there.
 """
 from __future__ import annotations
 
@@ -82,49 +84,29 @@ def _terms(log_coeffs: np.ndarray, z):
     return t, M
 
 
-def _scan(t: np.ndarray, track_peak: bool = False):
+def _scan(t: np.ndarray):
     """Compensated sum down the term axis of t: (running sum, compensation,
-    peak) per column, whose sum s + comp is the compensated value.  peak is
-    the largest |running sum| when track_peak is set, else None.  t may be
-    overwritten.
+    peak) per column, whose sum s + comp is the compensated value and peak
+    the largest |running sum|.  t may be overwritten.
 
-    Running sums s_k = fl(s_{k-1} + t_k) are taken in term order; TwoSum
-    (Knuth) gives each step's exact rounding error branch-free, and the
-    errors are added in the same order.  With more terms than points the
-    scan runs along the term axis in whole-matrix passes (np.add.accumulate
-    is sequential); otherwise a loop over term rows updates preallocated
-    point buffers in place.  Both forms do the same floating-point
-    operations in the same order.
+    Running sums s_k = fl(s_{k-1} + t_k) are taken in term order
+    (np.add.accumulate is sequential); TwoSum (Knuth) gives each step's
+    exact rounding error branch-free, and the errors are added in the same
+    order.
     """
-    rows, cols = t.shape
-    if rows > max(cols, 1):
-        s = np.add.accumulate(t, axis=0)
-        peak = np.maximum(s.max(axis=0), -s.min(axis=0)) if track_peak else None
-        prev, tot = s[:-1], s[1:]
-        bp = tot - prev
-        # the errors (prev - (tot - bp)) + (t_k - bp), with t_k - bp in t
-        tk = t[1:]
-        np.subtract(tk, bp, out=tk)
-        np.subtract(tot, bp, out=bp)
-        np.subtract(prev, bp, out=bp)
-        bp += tk
-        return s[-1], np.add.accumulate(bp, axis=0, out=bp)[-1], peak
-    s = t[0].copy()
-    comp = np.zeros(cols)
-    tot, bp, ap = np.empty(cols), np.empty(cols), np.empty(cols)
-    peak = np.abs(s) if track_peak else None
-    for tk in t[1:]:
-        np.add(s, tk, out=tot)
-        np.subtract(tot, s, out=bp)
-        np.subtract(tot, bp, out=ap)
-        np.subtract(s, ap, out=ap)
-        np.subtract(tk, bp, out=bp)
-        np.add(ap, bp, out=ap)
-        np.add(comp, ap, out=comp)
-        s, tot = tot, s
-        if track_peak:
-            np.maximum(peak, np.abs(s, out=ap), out=peak)
-    return s, comp, peak
+    s = np.add.accumulate(t, axis=0)
+    peak = np.maximum(s.max(axis=0), -s.min(axis=0))
+    if len(t) == 1:
+        return s[0], np.zeros(t.shape[1]), peak
+    prev, tot = s[:-1], s[1:]
+    bp = tot - prev
+    # the errors (prev - (tot - bp)) + (t_k - bp), with t_k - bp in t
+    tk = t[1:]
+    np.subtract(tk, bp, out=tk)
+    np.subtract(tot, bp, out=bp)
+    np.subtract(prev, bp, out=bp)
+    bp += tk
+    return s[-1], np.add.accumulate(bp, axis=0, out=bp)[-1], peak
 
 
 def _log_series(log_coeffs: np.ndarray, z):
@@ -142,7 +124,7 @@ def _log_series(log_coeffs: np.ndarray, z):
     # odd terms take the sign of z, and the scan runs in term order
     odd = t[1::2]
     np.negative(odd, out=odd, where=np.asarray(z) < 0)
-    s, comp, maxpartial = _scan(t, track_peak=True)
+    s, comp, maxpartial = _scan(t)
     vals = s + comp
     sum_noise = maxpartial * (_EPS * math.sqrt(max(len(log_coeffs), 1)))
     with np.errstate(divide="ignore"):
@@ -153,32 +135,21 @@ def _log_series(log_coeffs: np.ndarray, z):
 def _paired_sum(log_coeffs: np.ndarray, z):
     """(M, v, v_mirror) with sum_n exp(log_coeffs[n]) (+-z)^n = e^M v, e^M v_mirror.
 
-    The even rows and the odd rows of one term matrix are scanned apart
-    (each pair of rows is one contiguous row of twice the points, so one
-    scan does both), the odd scan takes the sign of z, and each sign joins
-    the two with one TwoSum: v = s + ((c_even + c_odd) + e), where
-    s + e = s_even + s_odd exactly.  No floors.
+    One reduction sums the even rows and the odd rows of one term matrix in
+    row order (each pair of rows is one contiguous row of twice the points);
+    the odd sum takes the sign of z, and v, v_mirror = s_even +- s_odd.
+    Each half-sum adds positive terms only, so its relative error is at most
+    (k - 1) eps, and the largest partial sum is the total: no compensation
+    and no peak scan are needed.  No floors.
     """
     z = np.asarray(z, dtype=float)
     if len(log_coeffs) % 2:
-        # a zero last row, which adds exact zeros to the even scan
+        # a zero last row, which adds an exact zero to the even sum
         log_coeffs = np.append(log_coeffs, -np.inf)
     t, M = _terms(log_coeffs, z)
-    s, comp, _ = _scan(t.reshape(len(t) // 2, 2 * z.size))
-    s_even, s_odd = s.reshape(2, -1)
-    c_even, c_odd = comp.reshape(2, -1)
-    neg = z < 0
-    np.negative(s_odd, out=s_odd, where=neg)
-    np.negative(c_odd, out=c_odd, where=neg)
-    return M, _join(s_even, c_even, s_odd, c_odd), _join(s_even, c_even, -s_odd, -c_odd)
-
-
-def _join(s1, c1, s2, c2):
-    """(s1 + c1) + (s2 + c2) with the TwoSum error of s1 + s2."""
-    s = s1 + s2
-    bp = s - s1
-    e = (s1 - (s - bp)) + (s2 - bp)
-    return s + ((c1 + c2) + e)
+    s_even, s_odd = t.reshape(len(t) // 2, 2 * z.size).sum(axis=0).reshape(2, -1)
+    np.negative(s_odd, out=s_odd, where=z < 0)
+    return M, s_even + s_odd, s_even - s_odd
 
 
 def _trunc_log_coeffs(n: np.ndarray, L: int, m: int) -> np.ndarray:
@@ -190,7 +161,9 @@ def f_truncated_log_array(xy, N: int, L: int, m: int):
     """Vectorized truncated sum of C(L+n, n)^m z^n over n < N-1 at z = +-xy.
 
     Returns (M, v, v_mirror): the sum is e^M v at xy and e^M v_mirror at
-    -xy.  The floors are the scalar guard's.
+    -xy.  The even and the odd terms are plain sums of positive terms, whose
+    rounding stays below that of the log-gamma coefficients; the floors are
+    the scalar guard's.
     """
     return _paired_sum(_trunc_log_coeffs(np.arange(N - 1), L, m), xy)
 
@@ -364,7 +337,8 @@ def _gin_log_coeffs(n: np.ndarray, m: int) -> np.ndarray:
 def f_gin_log_array(ts, N: int, m: int):
     """Vectorized Ginibre truncated sum sum t^n/(n!)^m at +-ts.
 
-    Returns (M, v, v_mirror), like f_truncated_log_array.
+    Returns (M, v, v_mirror) from plain even and odd sums, like
+    f_truncated_log_array.
     """
     return _paired_sum(_gin_log_coeffs(np.arange(N - 1), m), ts)
 

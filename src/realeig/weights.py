@@ -443,7 +443,8 @@ def weight_table(L: int, m: int, spec: QuadratureSpec | None = None,
     analytic mass identity holds to 1e-6.  spec (default DEFAULT_SPEC, which
     every route and check uses) is the convolution's quadrature.  Tables are
     cached in-process and, with cache_dir, on disk, keyed by (kind, L, m)
-    and the spec's tolerances and depth.
+    and the spec's tolerances and depth; a table held in-process is saved
+    to a cache_dir that lacks it.
     """
     _check_L(L)
     _check_m(m)
@@ -456,8 +457,13 @@ def weight_table(L: int, m: int, spec: QuadratureSpec | None = None,
     # held across the build, so concurrent callers build each key once
     with _registry_lock:
         table = _registry.get(key)
-        if table is None and cache_dir is not None:
+        # saved: the disk cache, if any, already holds this table
+        saved = cache_dir is None
+        if table is None and not saved:
             table = cache.load_weight_table(cache_dir, kind, L, m, spec)
+            saved = table is not None
+        elif not saved:
+            saved = cache.has_weight_table(cache_dir, kind, L, m, spec)
         if table is None:
             size = DEFAULT_GRID_SIZE
             while True:
@@ -469,8 +475,8 @@ def weight_table(L: int, m: int, spec: QuadratureSpec | None = None,
                     raise NonConvergentError(
                         f"weight table mass identity off by {gap:.2e} at grid {size}")
                 size *= 2
-            if cache_dir is not None:
-                cache.save_weight_table(cache_dir, table, spec)
+        if not saved:
+            cache.save_weight_table(cache_dir, table, spec)
         _registry[key] = table
     return table
 

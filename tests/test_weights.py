@@ -101,6 +101,23 @@ def test_weight_table_disk_cache_round_trip(tmp_path):
     assert cache.load_weight_table(tmp_path, "truncated", 9, 9, spec) is None
 
 
+def test_weight_table_saves_a_registry_hit_to_a_cache_dir_that_lacks_it(tmp_path):
+    # a table already in the registry used to be returned unsaved, leaving
+    # the cache directory empty
+    from realeig import cache, weights
+
+    table = weight_table(2, 3)
+    assert weight_table(2, 3, cache_dir=tmp_path) is table
+    [path] = tmp_path.iterdir()
+    loaded = cache.load_weight_table(tmp_path, "truncated", 2, 3, weights.DEFAULT_SPEC)
+    assert np.array_equal(loaded.log_values, table.log_values)
+    # a file already there is left alone
+    stamp = path.stat().st_mtime_ns
+    assert weight_table(2, 3, cache_dir=tmp_path) is table
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.stat().st_mtime_ns == stamp
+
+
 def test_weight_table_keyed_by_spec(tmp_path):
     from realeig import cache
 
